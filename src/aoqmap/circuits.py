@@ -63,11 +63,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
-    def swapped(self, i: int, j: int) -> "Permutation":
-        m = list(self.map)
-        m[i], m[j] = m[j], m[i]
-        return Permutation(m)
-
     def index(self, logical: int) -> int:
         """Position currently holding the given logical qubit."""
         return self.map.index(logical)
@@ -200,11 +195,6 @@ class CircuitBuilder:
 
     def czswap(self, a, b):
         return self.add("czswap", (a, b))
-
-    def extend(self, gates):
-        for g in gates:
-            self.add(g.kind, g.qubits, g.angle)
-        return self
 
     def build(self) -> Circuit:
         return Circuit(self.n, tuple(self._gates), Permutation(self._initial), label=self.label)

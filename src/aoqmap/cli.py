@@ -23,7 +23,7 @@ from .hamiltonians import (ProblemHamiltonian, PortfolioSpec, QaoaParams, brute_
 from .routing import (route_qaoa_linear, route_qaoa_partial, route_qaoa_subtop, route_vqe_linear,
                       swapnk_baseline)
 from .selection import circuit_cost, device_from_dict, postselect, select_layout
-from .sim import SIMULATOR_QUBIT_CAP, SimulationCapError, reference_circuit, verify
+from .sim import SIMULATOR_QUBIT_CAP, reference_circuit, verify
 from .topology import builtin_device, enumerate_layouts, graph_from_dict, template
 
 EXIT_OK = 0
@@ -72,6 +72,17 @@ def _write_manifest(out_dir: str, command: str, inputs, seed, artifacts) -> str:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     return _write_json(os.path.join(out_dir, f"{command}.manifest.json"), manifest)
+
+
+def _finish(args, result, text: str, artifacts=()) -> None:
+    """Common tail of every command: the optional --out file, the manifest,
+    then `result` as JSON (--json) or `text` on stdout."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    artifacts = list(artifacts)
+    if getattr(args, "out", None):
+        artifacts.append(_write_json(args.out, result))
+    _write_manifest(args.out_dir, args.command, _input_paths(args), _resolve_seed(args), artifacts)
+    print(json.dumps(result, indent=2, sort_keys=True) if args.json else text)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -215,14 +226,10 @@ def cmd_route(args) -> int:
         report_path = _write_json(f"{base}.report.json", report)
         artifacts += [qasm_path, circ_path, report_path]
         summaries.append(report)
-    artifacts.append(_write_manifest(args.out_dir, "route", _input_paths(args), seed, artifacts))
-
-    if args.json:
-        print(json.dumps(summaries, indent=2, sort_keys=True))
-    else:
-        for s in summaries:
-            print(f"{s['router']:7s} n={s['n']} p={s['p']} swaps={s['swap_count']} "
-                  f"cx={s['cx_count']} depth={s['depth']} final_order={s['final_order']}")
+    text = "\n".join(f"{s['router']:7s} n={s['n']} p={s['p']} swaps={s['swap_count']} "
+                     f"cx={s['cx_count']} depth={s['depth']} final_order={s['final_order']}"
+                     for s in summaries)
+    _finish(args, summaries, text, artifacts)
     return EXIT_OK
 
 
@@ -240,7 +247,6 @@ def _input_paths(args) -> list[str]:
 
 
 def cmd_layouts(args) -> int:
-    seed = _resolve_seed(args)
     graph, _ = _load_device(args.device)
     tmpl = template(args.template, args.n)
     layouts = enumerate_layouts(tmpl, graph)
@@ -251,22 +257,14 @@ def cmd_layouts(args) -> int:
         "count": len(layouts),
         "layouts": [list(l) for l in layouts],
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    artifacts = []
-    if args.out:
-        artifacts.append(_write_json(args.out, result))
-    _write_manifest(args.out_dir, "layouts", _input_paths(args), seed, artifacts)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(f"{args.template}-{args.n} on {args.device}: {len(layouts)} layouts")
-        if not layouts:
-            print("template not embeddable (count 0)")
+    text = f"{args.template}-{args.n} on {args.device}: {len(layouts)} layouts"
+    if not layouts:
+        text += "\ntemplate not embeddable (count 0)"
+    _finish(args, result, text)
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    seed = _resolve_seed(args)
     circuit = circuit_from_dict(_read_json(args.circuit))
     graph, cal = _load_device(args.device)
     if cal is None:
@@ -291,13 +289,7 @@ def cmd_select(args) -> int:
             {"layout": list(l), "cost": circuit_cost(circuit, l, cal).cost}
             for l in enumerate_layouts(tmpl, graph)
         ]
-    os.makedirs(args.out_dir, exist_ok=True)
-    artifacts = []
-    if args.out:
-        artifacts.append(_write_json(args.out, result))
-    _write_manifest(args.out_dir, "select", _input_paths(args), seed, artifacts)
-    print(json.dumps(result, indent=2, sort_keys=True) if args.json
-          else f"layout {list(layout)} cost {best.cost:.6g}")
+    _finish(args, result, f"layout {list(layout)} cost {best.cost:.6g}")
     return EXIT_OK
 
 
@@ -310,42 +302,26 @@ def _reference_from_report(report: dict):
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
     circuit = circuit_from_dict(_read_json(args.circuit))
     report = _read_json(args.report)
-    os.makedirs(args.out_dir, exist_ok=True)
     if circuit.n > SIMULATOR_QUBIT_CAP:
         result = {"status": "skipped",
                   "reason": f"n={circuit.n} exceeds the exact-simulation cap "
                             f"({SIMULATOR_QUBIT_CAP}); routed structure is size-independent"}
-        _write_manifest(args.out_dir, "verify", _input_paths(args), seed, [])
-        print(json.dumps(result, indent=2) if args.json
-              else f"verification skipped: {result['reason']}", file=sys.stdout)
+        _finish(args, result, f"verification skipped: {result['reason']}")
         return EXIT_OK
-    try:
-        ref = _reference_from_report(report)
-        outcome = verify(circuit, ref)
-    except SimulationCapError as exc:
-        _write_manifest(args.out_dir, "verify", _input_paths(args), seed, [])
-        print(f"verification skipped: {exc}")
-        return EXIT_OK
+    outcome = verify(circuit, _reference_from_report(report))
     result = {
         "status": "pass" if outcome.passed else "fail",
         "hellinger": outcome.hellinger,
         "fidelity": outcome.fidelity,
     }
-    artifacts = []
-    if args.out:
-        artifacts.append(_write_json(args.out, result))
-    _write_manifest(args.out_dir, "verify", _input_paths(args), seed, artifacts)
-    print(json.dumps(result, indent=2, sort_keys=True) if args.json
-          else f"{result['status']}: hellinger={outcome.hellinger:.3e} "
-               f"fidelity={outcome.fidelity:.12f}")
+    _finish(args, result, f"{result['status']}: hellinger={outcome.hellinger:.3e} "
+                          f"fidelity={outcome.fidelity:.12f}")
     return EXIT_OK if outcome.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_compare(args) -> int:
-    seed = _resolve_seed(args)
     reports = [(path, _read_json(path)) for path in args.reports]
     if len(reports) < 2:
         raise CliError("compare needs at least two report files")
@@ -374,22 +350,14 @@ def cmd_compare(args) -> int:
             "depth_reduction_pct": reduction(rep["depth"], base["depth"]),
         })
     result = {"baseline": base["router"], "rows": rows}
-    os.makedirs(args.out_dir, exist_ok=True)
-    artifacts = []
-    if args.out:
-        artifacts.append(_write_json(args.out, result))
-    _write_manifest(args.out_dir, "compare", _input_paths(args), seed, artifacts)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        for row in rows:
-            print(f"{row['router']:8s} swap {row['swap_reduction_pct']:6.1f}%  "
-                  f"cx {row['cx_reduction_pct']:6.1f}%  depth {row['depth_reduction_pct']:6.1f}%")
+    text = "\n".join(f"{row['router']:8s} swap {row['swap_reduction_pct']:6.1f}%  "
+                     f"cx {row['cx_reduction_pct']:6.1f}%  depth {row['depth_reduction_pct']:6.1f}%"
+                     for row in rows)
+    _finish(args, result, text)
     return EXIT_OK
 
 
 def cmd_postselect(args) -> int:
-    seed = _resolve_seed(args)
     h = hamiltonian_from_dict(_read_json(args.hamiltonian))
     variants = []
     for path in args.counts:
@@ -398,6 +366,8 @@ def cmd_postselect(args) -> int:
         for bits in counts:
             if len(bits) != h.n:
                 raise CliError(f"{path}: bitstring length {len(bits)} != n {h.n}")
+            if not set(bits) <= {"0", "1"}:
+                raise CliError(f"{path}: bitstring {bits!r} has characters other than 0 and 1")
         variants.append((path, counts))
     label, value = postselect(variants, h)
 
@@ -425,15 +395,7 @@ def cmd_postselect(args) -> int:
     if f_opt is not None:
         result["f_opt"] = f_opt
         result["f_max"] = f_max
-    os.makedirs(args.out_dir, exist_ok=True)
-    artifacts = []
-    if args.out:
-        artifacts.append(_write_json(args.out, result))
-    _write_manifest(args.out_dir, "postselect", _input_paths(args), seed, artifacts)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(f"chosen {label} expectation {value:.6g}")
+    _finish(args, result, f"chosen {label} expectation {value:.6g}")
     return EXIT_OK
 
 

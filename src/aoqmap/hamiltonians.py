@@ -258,10 +258,6 @@ def hamiltonian_from_dict(data: dict) -> ProblemHamiltonian:
                               data.get("budget"))
 
 
-def hamiltonian_from_json(text: str) -> ProblemHamiltonian:
-    return hamiltonian_from_dict(json.loads(text))
-
-
 def counts_from_json(text: str) -> dict[str, int]:
     raw = json.loads(text)
     counts = {str(k): int(v) for k, v in raw.items()}

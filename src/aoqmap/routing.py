@@ -1,12 +1,17 @@
 """Routers: compile QAOA/VQE interaction structure onto subtopology schedules.
 
-Placement walks the swap-layer schedule keeping a live position->logical
-order. At each step, interactions whose qubits sit on a free template edge
-are emitted bare; interactions sitting on the upcoming swap layer are fused
-into ZZSWAP gates. Swap emission is kept lazy at the tail: standalone SWAPs
-with no later gates on their wires are dropped (full-connectivity routers),
-and the partial router additionally demotes trailing fused gates and folds
-leading swaps into the initial order.
+One walker, `_walk`, places ZZ interactions for both the fully connected and
+the partial-connectivity QAOA routers. It walks swap layers keeping a live
+position->logical order: before each layer, pending pairs sitting on a free
+template edge are emitted bare; each slot of the layer then fuses its pair
+into a ZZSWAP when pending and swaps bare otherwise; a closing free sweep
+follows the last layer, and the walk stops once every pair is placed. Full
+routers pass all pairs and the layers of `schedules.full_routing_layers`,
+which holds H's closing rule. Swap emission is kept lazy at the tail:
+standalone SWAPs with no later gates on their wires are dropped, and the
+partial router additionally demotes trailing fused gates and folds leading
+swaps into the initial order. The VQE router and the swap-network baseline
+fuse every brickwork slot and so emit their gates directly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .circuits import Circuit, CircuitBuilder, SWAPPING_KINDS, gate_counts
 from .hamiltonians import ProblemHamiltonian, QaoaParams
-from .schedules import consumed_layer_bound, schedule_for
+from .schedules import brickwork_layers, consumed_layer_bound, full_routing_layers, schedule_for
 from .topology import SubtopologyTemplate, template
 
 REPEAT = "repeat"
@@ -81,53 +86,34 @@ def _free_placements(order, edges, exclude, pending):
     return found
 
 
-def _place_full_depth(n, kind, tmpl, start_order):
-    """One depth of full-connectivity placement; returns the op list.
+def _walk(start_order, edges, layers, pairs):
+    """Place every pair along the swap layers; returns the op list.
 
-    Linear and T consume n-2 layers; H consumes n-2 full layers plus a
-    closing layer truncated to the single first pair that still carries an
-    interaction.
+    Stops right after the last placement, so the op list may end mid-layer;
+    raises RoutingError if the layers and the closing sweep leave a pair.
     """
-    layers = schedule_for(kind, n).layers[:consumed_layer_bound(kind, n)]
-    full = len(layers) - 1 if kind == "h" else len(layers)
-    edges = tmpl.edges
     order = list(start_order)
-    pending = {(i, j) for i in range(n - 1) for j in range(i + 1, n)}
+    pending = set(pairs)
     ops = []
-
-    for k in range(full):
-        layer = layers[k]
+    for layer in (*layers, ()):
         for pair, (a, b) in _free_placements(order, edges, set(layer), pending):
             pending.discard(pair)
             ops.append(("zz", (a, b), pair))
+        if not pending:
+            return ops
         for i, j in layer:
             u, v = order[i], order[j]
             pair = (u, v) if u < v else (v, u)
             if pair in pending:
                 pending.discard(pair)
                 ops.append(("zzswap", (i, j), pair))
+                if not pending:
+                    return ops
             else:
                 ops.append(("swap", (i, j), None))
             order[i], order[j] = order[j], order[i]
-
-    if kind == "h" and pending:
-        for i, j in layers[full]:
-            u, v = order[i], order[j]
-            pair = (u, v) if u < v else (v, u)
-            if pair in pending:
-                pending.discard(pair)
-                ops.append(("zzswap", (i, j), pair))
-                order[i], order[j] = order[j], order[i]
-                break
-
-    for pair, (a, b) in _free_placements(order, edges, set(), pending):
-        pending.discard(pair)
-        ops.append(("zz", (a, b), pair))
-
-    if pending:
-        raise RoutingError(f"{kind}-{n}: {len(pending)} interactions unplaced "
-                           f"after the optimality-bound layer count")
-    return ops
+    raise RoutingError(f"{len(pending)} interactions unplaced after {len(layers)} layers: "
+                       f"{sorted(pending)}")
 
 
 def _strip_trailing(ops, demote_fused: bool):
@@ -215,6 +201,9 @@ def _route_qaoa_full(h, params, kind, mirror, label):
     zz_coeff = h.zz_coeffs()
     z_coeff = h.z_coeffs()
 
+    layers = full_routing_layers(kind, h.n)
+    pairs = tuple(zz_coeff)
+
     builder = CircuitBuilder(h.n, label=label)
     for q in range(h.n):
         builder.h(q)
@@ -223,7 +212,7 @@ def _route_qaoa_full(h, params, kind, mirror, label):
         if mirror and d % 2 == 1:
             ops = _reverse_block(prev_block)
         else:
-            ops = _place_full_depth(h.n, kind, tmpl, builder.order)
+            ops = _walk(builder.order, tmpl.edges, layers, pairs)
         prev_block = ops
         if d == params.p - 1:
             ops = _strip_trailing(ops, demote_fused=False)
@@ -256,47 +245,6 @@ def route_qaoa_subtop(h: ProblemHamiltonian, params: QaoaParams, kind: str,
 # partial connectivity (Exhaustive / Sampled initial-order search)
 
 
-def _partial_depth_ops(n, tmpl, layers, start_order, pairs):
-    """Walk the full-connectivity schedule placing only the existing terms.
-
-    All schedule swaps are applied (so closure guarantees completion), but
-    emission stops as soon as every term is placed, and the very last fused
-    placement drops its swap.
-    """
-    edges = tmpl.edges
-    order = list(start_order)
-    pending = set(pairs)
-    ops = []
-    for k in range(len(layers) + 1):
-        if not pending:
-            break
-        layer = layers[k] if k < len(layers) else ()
-        for pair, (a, b) in _free_placements(order, edges, set(layer), pending):
-            pending.discard(pair)
-            ops.append(("zz", (a, b), pair))
-        if not pending:
-            break
-        for i, j in layer:
-            u, v = order[i], order[j]
-            pair = (u, v) if u < v else (v, u)
-            if pair in pending:
-                pending.discard(pair)
-                if pending:
-                    ops.append(("zzswap", (i, j), pair))
-                else:
-                    ops.append(("zz", (i, j), pair))
-                    break
-            else:
-                ops.append(("swap", (i, j), None))
-            order[i], order[j] = order[j], order[i]
-        else:
-            continue
-        break
-    if pending:
-        raise RoutingError(f"partial placement incomplete: {sorted(pending)} left")
-    return ops
-
-
 def _absorb_leading_swaps(ops, start_order):
     """Fold swaps whose wires carry no earlier gate into the initial order.
 
@@ -318,9 +266,16 @@ def _absorb_leading_swaps(ops, start_order):
     return out, tuple(order)
 
 
-def _partial_candidate(n, tmpl, layers, start_order, pairs):
-    """Per-order routing functional: (cx, ops, adjusted initial order)."""
-    ops = _partial_depth_ops(n, tmpl, layers, start_order, pairs)
+def _partial_candidate(tmpl, layers, start_order, pairs):
+    """Per-order routing functional: (cx, ops, adjusted initial order).
+
+    All schedule swaps are available (so closure guarantees completion); the
+    very last placement needs no swap, so a final fused gate is demoted
+    before leading swaps are absorbed.
+    """
+    ops = _walk(start_order, tmpl.edges, layers, pairs)
+    if ops and ops[-1][0] == "zzswap":
+        ops[-1] = ("zz",) + ops[-1][1:]
     ops, adjusted = _absorb_leading_swaps(ops, start_order)
     ops = _strip_trailing(ops, demote_fused=True)
     return _op_cx(ops), ops, adjusted
@@ -370,7 +325,7 @@ def route_qaoa_partial(h: ProblemHamiltonian, params: QaoaParams, kind: str = "l
     tried = 0
     for start in orders:
         tried += 1
-        cx, ops, adjusted = _partial_candidate(h.n, tmpl, layers, start, pairs)
+        cx, ops, adjusted = _partial_candidate(tmpl, layers, start, pairs)
         key = (cx, start)
         if best is None or key < best[0]:
             best = (key, ops, adjusted)
@@ -411,13 +366,10 @@ def route_vqe_linear(n: int, p: int, thetas) -> RoutedCircuit:
     for q in range(n):
         builder.ry(q, thetas[q])
     for d in range(1, p + 1):
-        for s in range(n):
-            fused = 0 < s < n - 1
-            for q in range(s % 2, n - 1, 2):
-                if fused:
-                    builder.czswap(q, q + 1)
-                else:
-                    builder.cz(q, q + 1)
+        for s, layer in enumerate(brickwork_layers(n)):
+            gate = builder.czswap if 0 < s < n - 1 else builder.cz
+            for i, j in layer:
+                gate(i, j)
         order = builder.order
         for k in range(n):
             builder.ry(k, thetas[d * n + order[k]])
@@ -439,12 +391,12 @@ def swapnk_baseline(h: ProblemHamiltonian, params: QaoaParams) -> RoutedCircuit:
     for q in range(n):
         builder.h(q)
     for d in range(params.p):
-        for s in range(n):
-            for q in range(s % 2, n - 1, 2):
+        for layer in brickwork_layers(n):
+            for i, j in layer:
                 order = builder.order
-                u, v = order[q], order[q + 1]
+                u, v = order[i], order[j]
                 pair = (u, v) if u < v else (v, u)
-                builder.zzswap(q, q + 1, 2.0 * params.gammas[d] * zz_coeff[pair])
+                builder.zzswap(i, j, 2.0 * params.gammas[d] * zz_coeff[pair])
         _emit_mixer_layer(builder, z_coeff, params.gammas[d], params.betas[d])
     circuit = builder.build()
     report = _build_report(circuit, placed=len(h.zz) * params.p, consumed=n)

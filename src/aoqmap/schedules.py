@@ -2,9 +2,11 @@
 
 A schedule is an ordered list of layers; each layer is a set of
 vertex-disjoint position pairs drawn from the template's edges. Linear
-schedules hold the n-2 interior brickwork layers; T and H schedules hold the
-full n-layer 4-phase cycles, of which routers consume a prefix (n-2 for T,
-n-1 for H).
+schedules hold the n-2 interior layers of the n-layer brickwork; T and H
+schedules hold the full n-layer 4-phase cycles, of which routers consume a
+prefix (n-2 for T, n-1 for H). `full_routing_layers` gives the layers one
+fully connected QAOA depth walks, with H's closing rule: of its last layer
+only the first slot whose pair has not yet met is used.
 """
 
 from __future__ import annotations
@@ -41,15 +43,16 @@ class SwapSchedule:
         return sum(len(layer) for layer in self.layers)
 
 
+def brickwork_layers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All n brickwork layers of the chain; layer s starts at position s % 2."""
+    return tuple(tuple((q, q + 1) for q in range(s % 2, n - 1, 2)) for s in range(n))
+
+
 def linear_layers(n: int) -> SwapSchedule:
-    """The n-2 interior brickwork layers; layer s starts at position s odd ? 1 : 0."""
+    """The n-2 interior brickwork layers (brickwork layers 1..n-2)."""
     if n < 2:
         raise ValueError("linear schedule needs n >= 2")
-    layers = tuple(
-        tuple((q, q + 1) for q in range(1 if s % 2 else 0, n - 1, 2))
-        for s in range(1, n - 1)
-    )
-    return SwapSchedule("linear", n, layers)
+    return SwapSchedule("linear", n, brickwork_layers(n)[1:-1])
 
 
 def t_layers(n: int) -> SwapSchedule:
@@ -106,6 +109,25 @@ def consumed_layer_bound(kind: str, n: int) -> int:
     if kind == "h":
         return n - 1
     raise ValueError(f"unknown template kind {kind!r}")
+
+
+def full_routing_layers(kind: str, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Layers one fully connected QAOA depth walks.
+
+    Linear and T walk their first n-2 schedule layers. H walks n-2 full
+    layers and then, of layer n-1, only the first slot whose pair has not yet
+    met; that slot is appended to layer n-2. Which tokens have met depends on
+    the positions alone, not on the start order, so the slot is found once
+    from the identity order.
+    """
+    layers = schedule_for(kind, n).layers[:consumed_layer_bound(kind, n)]
+    if kind != "h":
+        return layers
+    met = connectivity_closure(SwapSchedule(kind, n, layers[:-2]), template(kind, n))
+    order = order_after(SwapSchedule(kind, n, layers[:-1]), Permutation.identity(n))
+    closing = next((i, j) for i, j in layers[-1]
+                   if (min(order[i], order[j]), max(order[i], order[j])) not in met)
+    return layers[:-2] + (layers[-2] + (closing,),)
 
 
 def mirror(schedule: SwapSchedule) -> SwapSchedule:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import Circuit, decompose_to_basis
 from .hamiltonians import ProblemHamiltonian, expectation
@@ -16,16 +15,11 @@ class CalibrationError(KeyError):
 
 @dataclass(frozen=True)
 class Calibration:
-    """Per-qubit readout/single-qubit error rates and per-edge two-qubit rates.
-
-    T1/T2 are stored when present but do not enter the cost function.
-    """
+    """Per-qubit readout/single-qubit error rates and per-edge two-qubit rates."""
 
     readout_error: tuple[float, ...]
     sq_error: tuple[float, ...]
     edge_error: dict
-    t1: tuple | None = None
-    t2: tuple | None = None
 
     def __post_init__(self):
         for name, rates in (("readout", self.readout_error), ("single-qubit", self.sq_error)):
@@ -133,14 +127,10 @@ def postselect(variants, h: ProblemHamiltonian):
 
 def calibration_from_dict(data: dict) -> Calibration:
     qubits = data["qubits"]
-    t1 = tuple(q.get("t1") for q in qubits) if any("t1" in q for q in qubits) else None
-    t2 = tuple(q.get("t2") for q in qubits) if any("t2" in q for q in qubits) else None
     return Calibration(
         readout_error=tuple(float(q["readout_error"]) for q in qubits),
         sq_error=tuple(float(q["sq_error"]) for q in qubits),
         edge_error={tuple(e["pair"]): float(e["error"]) for e in data["edges"]},
-        t1=t1,
-        t2=t2,
     )
 
 
@@ -158,7 +148,3 @@ def device_from_dict(data: dict):
         if missing:
             raise ValueError(f"calibration missing two-qubit entries for edges {sorted(missing)}")
     return graph, cal
-
-
-def device_from_json(text: str):
-    return device_from_dict(json.loads(text))

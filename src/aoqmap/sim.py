@@ -30,9 +30,6 @@ class Statevector:
     amplitudes: np.ndarray
     n: int
 
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape([2] * self.n).transpose(*reversed(range(self.n)))
-
 
 @dataclass(frozen=True)
 class Distribution:
@@ -198,7 +195,8 @@ def simulate(circuit: Circuit) -> Statevector:
     flat = state.transpose(*reversed(range(circuit.n))).reshape(-1) if circuit.n else state.reshape(-1)
     norm = float(np.linalg.norm(flat))
     drift = 1e-10 * max(1.0, len(circuit.gates) / 100.0)
-    assert abs(norm - 1.0) < max(drift, 1e-10), f"statevector norm drifted to {norm}"
+    if not abs(norm - 1.0) < max(drift, 1e-10):
+        raise RuntimeError(f"statevector norm drifted to {norm}")
     return Statevector(flat, circuit.n)
 
 
@@ -220,16 +218,16 @@ def permute_to_logical(state: Statevector, order: Permutation) -> np.ndarray:
     return out
 
 
+def _born(amplitudes: np.ndarray, n: int) -> Distribution:
+    """Normalized outcome probabilities of logical-space amplitudes."""
+    probs = np.abs(amplitudes) ** 2
+    return Distribution(probs / float(probs.sum()), n)
+
+
 def distribution(circuit: Circuit) -> Distribution:
     """Exact outcome probabilities over logical bitstrings (measurement map
     applied)."""
-    state = simulate(circuit)
-    probs_pos = np.abs(state.amplitudes) ** 2
-    mapping = _logical_index_map(circuit.n, circuit.final_order)
-    probs = np.zeros_like(probs_pos)
-    probs[mapping] = probs_pos
-    total = float(probs.sum())
-    return Distribution(probs / total, circuit.n)
+    return _born(permute_to_logical(simulate(circuit), circuit.final_order), circuit.n)
 
 
 def hellinger(p, q) -> float:
@@ -358,11 +356,9 @@ def verify(routed, reference: Circuit) -> VerifyReport:
     if circuit.n != reference.n:
         raise ValueError(f"qubit count mismatch: {circuit.n} vs {reference.n}")
     _check_cap(circuit.n)
-    dist_r = distribution(circuit)
-    dist_ref = distribution(reference)
-    h_dist = hellinger(dist_r, dist_ref)
     psi_r = permute_to_logical(simulate(circuit), circuit.final_order)
     psi_ref = permute_to_logical(simulate(reference), reference.final_order)
+    h_dist = hellinger(_born(psi_r, circuit.n), _born(psi_ref, reference.n))
     fid = float(abs(np.vdot(psi_ref, psi_r)) ** 2)
     return VerifyReport(hellinger=h_dist, fidelity=fid,
                         passed=h_dist < 1e-6 and fid > 1 - 1e-9)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -144,7 +143,3 @@ def graph_to_dict(graph: CouplingGraph) -> dict:
 
 def graph_from_dict(data: dict) -> CouplingGraph:
     return CouplingGraph(int(data["num_qubits"]), frozenset(tuple(e) for e in data["edges"]))
-
-
-def graph_from_json(text: str) -> CouplingGraph:
-    return graph_from_dict(json.loads(text))

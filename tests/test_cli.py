@@ -151,11 +151,17 @@ def test_verify_skips_above_cap(tmp_path, capsys):
         "mode": "qaoa", "n": 20,
         "problem": {"n": 20, "zz": [], "z": [], "constant": 0.0},
         "params": {"gammas": [0.1], "betas": [0.1]}}))
-    code = run(["verify", "--circuit", str(tmp_path / "big.circuit.json"),
-                "--report", str(tmp_path / "big.report.json"),
-                "--out-dir", str(tmp_path)])
-    assert code == 0
+    args = ["verify", "--circuit", str(tmp_path / "big.circuit.json"),
+            "--report", str(tmp_path / "big.report.json"), "--out-dir", str(tmp_path)]
+    assert run(args) == 0
     assert "skipped" in capsys.readouterr().out
+    # the skip takes the same output path as a pass: --out file, manifest, sorted JSON
+    assert run(args + ["--json", "--out", str(tmp_path / "res.json")]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert read(tmp_path / "res.json") == json.loads(out)
+    assert json.loads(out)["status"] == "skipped"
+    assert read(tmp_path / "verify.manifest.json")["artifacts"] == [str(tmp_path / "res.json")]
 
 
 def test_postselect_flow(tmp_path, capsys):
@@ -194,6 +200,17 @@ def test_postselect_inconsistent_n(tmp_path, capsys):
     code = run(["postselect", str(tmp_path / "a.json"),
                 "--hamiltonian", str(tmp_path / "h.json"), "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+def test_postselect_rejects_non_binary_bitstring(tmp_path, capsys):
+    h = {"n": 3, "zz": [{"i": 0, "j": 1, "coeff": 1.0}], "z": [], "constant": 0.0}
+    (tmp_path / "h.json").write_text(json.dumps(h))
+    (tmp_path / "c.json").write_text(json.dumps({"010": 2, "2a0": 3}))
+    code = run(["postselect", str(tmp_path / "c.json"),
+                "--hamiltonian", str(tmp_path / "h.json"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "c.json" in err and "'2a0'" in err
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):

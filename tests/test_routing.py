@@ -1,13 +1,16 @@
 """Router behavior: gate skeletons, swap counts, order evolution, optimality."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from aoqmap import (ProblemHamiltonian, QaoaParams, RoutingError, build_maxcut_hamiltonian,
-                    optimal_cx_target, reference_circuit, route_qaoa_linear, route_qaoa_partial,
-                    route_qaoa_subtop, route_vqe_linear, swapnk_baseline, verify)
+                    circuit_to_dict, optimal_cx_target, reference_circuit, route_qaoa_linear,
+                    route_qaoa_partial, route_qaoa_subtop, route_vqe_linear, swapnk_baseline,
+                    verify)
 
 from oracles import best_partial_cx, partial_route_cx
 
@@ -248,3 +251,150 @@ def test_full_routers_equivalent_spot(seed=4):
                    route_qaoa_subtop(h, params, "t"), route_qaoa_subtop(h, params, "h"),
                    swapnk_baseline(h, params)):
         assert verify(routed, ref).passed
+
+
+def _golden_params(p):
+    return QaoaParams(tuple(0.3 + 0.1 * d for d in range(p)), tuple(0.6 - 0.1 * d for d in range(p)))
+
+
+def _sparse_h(n, density, seed):
+    rng = np.random.default_rng(seed)
+    pool = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    idx = sorted(rng.choice(len(pool), size=max(2, round(density * len(pool))), replace=False))
+    zz = tuple((*pool[int(k)], float(rng.uniform(-1, 1))) for k in idx)
+    z = tuple((i, float(rng.uniform(-1, 1))) for i in range(0, n, 2))
+    return ProblemHamiltonian(n, zz, z)
+
+
+def _golden_routes():
+    """(case id, routed circuit) for every router over sizes, depths and mirroring."""
+    for kind, sizes in (("linear", (2, 3, 5, 8)), ("t", (4, 5, 7, 9)), ("h", (6, 7, 8, 11))):
+        for n, p, mirror in itertools.product(sizes, (1, 2, 3), (False, True)):
+            h, params = complete_h(n, seed=n), _golden_params(p)
+            routed = (route_qaoa_linear(h, params, mirror=mirror) if kind == "linear"
+                      else route_qaoa_subtop(h, params, kind, mirror=mirror))
+            yield f"{kind}{'-mirror' if mirror else ''}-n{n}-p{p}", routed
+    for n, p in ((3, 1), (6, 2)):
+        yield f"swapnk-n{n}-p{p}", swapnk_baseline(complete_h(n, seed=n), _golden_params(p))
+    for n, p in ((2, 1), (3, 2), (6, 3)):
+        yield f"vqe-n{n}-p{p}", route_vqe_linear(n, p, [0.05 * k for k in range((p + 1) * n)])
+    for kind, n, strategy in (("linear", 5, "exhaustive"), ("linear", 6, "exhaustive"),
+                              ("t", 6, "exhaustive"), ("h", 6, "exhaustive"),
+                              ("linear", 10, "sampled"), ("t", 9, "sampled"), ("h", 11, "sampled")):
+        for density, p in ((0.3, 1), (0.6, 3), (1.0, 1)):
+            h = _sparse_h(n, density, seed=n)
+            routed = route_qaoa_partial(h, _golden_params(p), kind=kind, strategy=strategy,
+                                        samples=200, seed=5)
+            yield f"partial-{strategy}-{kind}-n{n}-d{density}-p{p}", routed
+
+
+def test_routed_gate_lists_golden():
+    """Gate lists pinned by digest: a change to placement order shows here."""
+    digests = {}
+    for case, routed in _golden_routes():
+        text = json.dumps(circuit_to_dict(routed.circuit), sort_keys=True)
+        digests[case] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == GOLDEN_DIGESTS
+
+
+# sha256 prefixes of circuit_to_dict (sorted-key JSON) for each _golden_routes case
+GOLDEN_DIGESTS = {
+    "linear-n2-p1": "ac85b8ac5bec5730",
+    "linear-mirror-n2-p1": "181106ee0783406e",
+    "linear-n2-p2": "8f321a32a088b20d",
+    "linear-mirror-n2-p2": "62b2a7ac4f6ddff2",
+    "linear-n2-p3": "97420b6e43c6ee8d",
+    "linear-mirror-n2-p3": "6062f35c84ffd894",
+    "linear-n3-p1": "c36a4dea070f6d52",
+    "linear-mirror-n3-p1": "c219a52bd2ef48f6",
+    "linear-n3-p2": "a4cf29203e69609b",
+    "linear-mirror-n3-p2": "61e1aa9c47fa2dc0",
+    "linear-n3-p3": "aeb009d6c6fe079b",
+    "linear-mirror-n3-p3": "b4f1e72288c05288",
+    "linear-n5-p1": "c686be07d2712679",
+    "linear-mirror-n5-p1": "0036640fc2520907",
+    "linear-n5-p2": "7a0826eca5f2b921",
+    "linear-mirror-n5-p2": "a7d6f33ffec51e39",
+    "linear-n5-p3": "da174c3ef0999fe6",
+    "linear-mirror-n5-p3": "e2436780a77b2866",
+    "linear-n8-p1": "c2dc3f5811284a86",
+    "linear-mirror-n8-p1": "fd44ebd908740809",
+    "linear-n8-p2": "384948acafe852f8",
+    "linear-mirror-n8-p2": "e775f0ba0c80b142",
+    "linear-n8-p3": "be58c907f57077d4",
+    "linear-mirror-n8-p3": "e58ebec8dfe27d6c",
+    "t-n4-p1": "d4be25b8a7bb340b",
+    "t-mirror-n4-p1": "726192ca51f29545",
+    "t-n4-p2": "c13c80bb65a7c5fb",
+    "t-mirror-n4-p2": "38b180c54c23247a",
+    "t-n4-p3": "2583bab9bbab9b73",
+    "t-mirror-n4-p3": "59fe3e4a0d8b7880",
+    "t-n5-p1": "ef7cddace8a6e4d8",
+    "t-mirror-n5-p1": "f6f6eb83ea809646",
+    "t-n5-p2": "5cb7d7e9c8f53201",
+    "t-mirror-n5-p2": "a18c2046d6021bab",
+    "t-n5-p3": "f48a59e93de9f1b9",
+    "t-mirror-n5-p3": "7c56c04234f62f53",
+    "t-n7-p1": "5d92d085d3de8074",
+    "t-mirror-n7-p1": "fff6c4e2e675cc94",
+    "t-n7-p2": "36e73682b7024c66",
+    "t-mirror-n7-p2": "4a1b6850bf47c95e",
+    "t-n7-p3": "7f93c4f428e4facb",
+    "t-mirror-n7-p3": "ca42ab5b64469301",
+    "t-n9-p1": "9a36f590c88c1af4",
+    "t-mirror-n9-p1": "b2925cacb58176c2",
+    "t-n9-p2": "22e555166eb2d151",
+    "t-mirror-n9-p2": "0618cdf4f0add3cd",
+    "t-n9-p3": "8408960af32cb5d9",
+    "t-mirror-n9-p3": "9f682c97aee28ad8",
+    "h-n6-p1": "bd064ae5008b625f",
+    "h-mirror-n6-p1": "906fb51885a89953",
+    "h-n6-p2": "cb4e0ab60f519dd4",
+    "h-mirror-n6-p2": "fe39fce8c7ad6bac",
+    "h-n6-p3": "8e34abab4bd4a183",
+    "h-mirror-n6-p3": "9184ff9ba8862cb5",
+    "h-n7-p1": "27b0cfc249db3025",
+    "h-mirror-n7-p1": "eaf020b5fca2b8b2",
+    "h-n7-p2": "4922676c3ad6309d",
+    "h-mirror-n7-p2": "21c0b713f96588fc",
+    "h-n7-p3": "b2b68febc8925a98",
+    "h-mirror-n7-p3": "43db23cf06b7f58e",
+    "h-n8-p1": "6b076d0c565f515a",
+    "h-mirror-n8-p1": "839a1c8e65b14d5f",
+    "h-n8-p2": "16f07908679d3ec5",
+    "h-mirror-n8-p2": "32ac9c07307f60f3",
+    "h-n8-p3": "a665a766b58f5880",
+    "h-mirror-n8-p3": "77c74fb3f36fd793",
+    "h-n11-p1": "04f5cec057aad706",
+    "h-mirror-n11-p1": "21be0cf3c2f1a65b",
+    "h-n11-p2": "015af1a370237385",
+    "h-mirror-n11-p2": "9deab9abfbc98cbd",
+    "h-n11-p3": "76a3b7f3607321b5",
+    "h-mirror-n11-p3": "559a4915a4c06ad4",
+    "swapnk-n3-p1": "4cb45462c9a62e6a",
+    "swapnk-n6-p2": "971e85e70b3e5da3",
+    "vqe-n2-p1": "1c5fc944af801cf4",
+    "vqe-n3-p2": "72ab1f6afb22ad98",
+    "vqe-n6-p3": "d857fd3c20da0915",
+    "partial-exhaustive-linear-n5-d0.3-p1": "e35970f06c535ce4",
+    "partial-exhaustive-linear-n5-d0.6-p3": "2e7815525e21bd5d",
+    "partial-exhaustive-linear-n5-d1.0-p1": "e976ddd78e1a816a",
+    "partial-exhaustive-linear-n6-d0.3-p1": "a1943dcb9e1a0f83",
+    "partial-exhaustive-linear-n6-d0.6-p3": "9c70b6e7595aba2e",
+    "partial-exhaustive-linear-n6-d1.0-p1": "521ceca6c309caad",
+    "partial-exhaustive-t-n6-d0.3-p1": "d6f7b9c512dda283",
+    "partial-exhaustive-t-n6-d0.6-p3": "e7b7dc3befd12d0a",
+    "partial-exhaustive-t-n6-d1.0-p1": "bfe31f182a243181",
+    "partial-exhaustive-h-n6-d0.3-p1": "2766f4abfd5dcd32",
+    "partial-exhaustive-h-n6-d0.6-p3": "99120fc8ade9db54",
+    "partial-exhaustive-h-n6-d1.0-p1": "3a95d6e888aa8010",
+    "partial-sampled-linear-n10-d0.3-p1": "e83f8bd2f36d682d",
+    "partial-sampled-linear-n10-d0.6-p3": "58f4546e2626e79b",
+    "partial-sampled-linear-n10-d1.0-p1": "1b0ebdff067ebecb",
+    "partial-sampled-t-n9-d0.3-p1": "671cf9ea9ddbc151",
+    "partial-sampled-t-n9-d0.6-p3": "4e4c266ffc281455",
+    "partial-sampled-t-n9-d1.0-p1": "bf7561ffa2701485",
+    "partial-sampled-h-n11-d0.3-p1": "99b5876d1ebed0bb",
+    "partial-sampled-h-n11-d0.6-p3": "27dc02110efe9ce0",
+    "partial-sampled-h-n11-d1.0-p1": "bb0fad6be7d46221",
+}

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from aoqmap import (Circuit, CircuitBuilder, NoiseModel, ProblemHamiltonian, QaoaParams,
                     SimulationCapError, build_maxcut_hamiltonian, distribution, energy,
-                    expectation, hellinger, reference_circuit, route_qaoa_linear, sample,
-                    simulate, verify)
+                    expectation, hellinger, reference_circuit, route_qaoa_linear,
+                    route_qaoa_partial, sample, simulate, verify)
+from aoqmap import sim
 
 from oracles import dm_logical_probs, logical_probs
 
@@ -50,6 +51,16 @@ def test_norm_preserved_through_long_circuit():
         b.rx(q, float(rng.uniform(-3, 3)))
     psi = simulate(b.build()).amplitudes
     assert abs(np.linalg.norm(psi) - 1.0) < 1.2e-10 * (240 / 100)
+
+
+def test_norm_drift_raises(monkeypatch):
+    # an explicit check, so it also holds under python -O
+    run = sim._run
+    monkeypatch.setattr(sim, "_run", lambda circuit: 1.5 * run(circuit))
+    b = CircuitBuilder(2)
+    b.h(0)
+    with pytest.raises(RuntimeError, match="norm"):
+        simulate(b.build())
 
 
 def test_distribution_point_mass_and_permutation():
@@ -164,6 +175,19 @@ def test_verify_pass_and_perturbation_fail():
 
     with pytest.raises(ValueError):
         verify(routed, reference_circuit(build_maxcut_hamiltonian([(0, 1)], 2), params))
+
+
+def test_verify_simulates_each_circuit_once(monkeypatch):
+    h = build_maxcut_hamiltonian([(0, 1), (1, 2), (0, 2), (2, 3)], 4)
+    params = QaoaParams((0.6,), (0.9,))
+    routed, ref = route_qaoa_partial(h, params), reference_circuit(h, params)
+    calls = []
+    real = sim.simulate
+    monkeypatch.setattr(sim, "simulate", lambda circuit: calls.append(circuit) or real(circuit))
+    report = verify(routed, ref)
+    assert report.passed
+    assert calls == [routed.circuit, ref]
+    assert report.hellinger == hellinger(distribution(routed.circuit), distribution(ref))
 
 
 def test_sampled_hellinger_lands_in_shot_noise_band():
