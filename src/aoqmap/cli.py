@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -55,6 +56,15 @@ def _read_json(path: str) -> dict:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
 
 
+def _load(path: str, loader):
+    """`loader` applied to the JSON in `path`; a missing key names the file."""
+    data = _read_json(path)
+    try:
+        return loader(data)
+    except KeyError as exc:
+        raise CliError(f"{path}: missing field {exc.args[0]!r}") from None
+
+
 def _write_json(path: str, data) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -85,11 +95,14 @@ def _finish(args, result, text: str, artifacts=()) -> None:
     print(json.dumps(result, indent=2, sort_keys=True) if args.json else text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_floats(flag: str, text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        values = tuple(float(v) for v in text.split(",") if v.strip())
+        if all(math.isfinite(v) for v in values):
+            return values
     except ValueError:
-        raise CliError(f"expected comma-separated floats, got {text!r}") from None
+        pass
+    raise CliError(f"{flag} expects comma-separated finite floats, got {text!r}")
 
 
 def _parse_edges(text: str):
@@ -114,7 +127,7 @@ def _complete_hamiltonian(n: int) -> ProblemHamiltonian:
 def _load_device(spec: str):
     if spec.startswith("builtin:"):
         return builtin_device(spec.split(":", 1)[1]), None
-    return device_from_dict(_read_json(spec))
+    return _load(spec, device_from_dict)
 
 
 def _problem_from_args(args):
@@ -140,13 +153,12 @@ def _problem_from_args(args):
         n = args.n if args.n is not None else (max(max(e) for e in edges) + 1 if edges else 0)
         return "maxcut", build_maxcut_hamiltonian(edges, n)
     if args.portfolio_spec is not None:
-        data = _read_json(args.portfolio_spec)
-        spec = PortfolioSpec(
+        spec = _load(args.portfolio_spec, lambda data: PortfolioSpec(
             lam=float(data["lambda"]), q=float(data["q"]), penalty=float(data["A"]),
             budget=int(data["B"]), sigma=tuple(tuple(r) for r in data["sigma"]),
-            mu=tuple(data["mu"]), constant=float(data.get("constant", 0.0)))
+            mu=tuple(data["mu"]), constant=float(data.get("constant", 0.0))))
         return "portfolio", build_portfolio_hamiltonian(spec)
-    return "hamiltonian", hamiltonian_from_dict(_read_json(args.hamiltonian))
+    return "hamiltonian", _load(args.hamiltonian, hamiltonian_from_dict)
 
 
 def _route_one(kind, mode, h, args, params, thetas, seed):
@@ -166,18 +178,20 @@ def _route_one(kind, mode, h, args, params, thetas, seed):
 
 def cmd_route(args) -> int:
     seed = _resolve_seed(args)
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     mode, h = _problem_from_args(args)
     p = args.p
     thetas = None
     params = None
     if mode == "vqe":
-        thetas = (_parse_floats(args.thetas) if args.thetas
+        thetas = (_parse_floats("--thetas", args.thetas) if args.thetas
                   else tuple(0.1 * (k + 1) for k in range((p + 1) * args.n)))
         if len(thetas) != (p + 1) * args.n:
             raise CliError(f"--thetas needs (p+1)*n = {(p + 1) * args.n} values")
     else:
-        gammas = _parse_floats(args.gammas) if args.gammas else (DEFAULT_GAMMA,) * p
-        betas = _parse_floats(args.betas) if args.betas else (DEFAULT_BETA,) * p
+        gammas = _parse_floats("--gammas", args.gammas) if args.gammas else (DEFAULT_GAMMA,) * p
+        betas = _parse_floats("--betas", args.betas) if args.betas else (DEFAULT_BETA,) * p
         if len(gammas) != p or len(betas) != p:
             raise CliError(f"--gammas/--betas need exactly p = {p} values")
         params = QaoaParams(gammas, betas)
@@ -265,7 +279,7 @@ def cmd_layouts(args) -> int:
 
 
 def cmd_select(args) -> int:
-    circuit = circuit_from_dict(_read_json(args.circuit))
+    circuit = _load(args.circuit, circuit_from_dict)
     graph, cal = _load_device(args.device)
     if cal is None:
         raise CliError(f"device {args.device} carries no calibration block")
@@ -273,7 +287,7 @@ def cmd_select(args) -> int:
     if kind is None:
         if args.report is None:
             raise CliError("pass --template or --report to identify the subtopology")
-        kind = _read_json(args.report)["template_kind"]
+        kind = _load(args.report, lambda report: report["template_kind"])
     tmpl = template(kind, circuit.n)
     layout, best = select_layout(circuit, tmpl, graph, cal)
     result = {
@@ -302,15 +316,15 @@ def _reference_from_report(report: dict):
 
 
 def cmd_verify(args) -> int:
-    circuit = circuit_from_dict(_read_json(args.circuit))
-    report = _read_json(args.report)
+    circuit = _load(args.circuit, circuit_from_dict)
+    reference = _load(args.report, _reference_from_report)
     if circuit.n > SIMULATOR_QUBIT_CAP:
         result = {"status": "skipped",
                   "reason": f"n={circuit.n} exceeds the exact-simulation cap "
                             f"({SIMULATOR_QUBIT_CAP}); routed structure is size-independent"}
         _finish(args, result, f"verification skipped: {result['reason']}")
         return EXIT_OK
-    outcome = verify(circuit, _reference_from_report(report))
+    outcome = verify(circuit, reference)
     result = {
         "status": "pass" if outcome.passed else "fail",
         "hellinger": outcome.hellinger,
@@ -358,7 +372,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_postselect(args) -> int:
-    h = hamiltonian_from_dict(_read_json(args.hamiltonian))
+    h = _load(args.hamiltonian, hamiltonian_from_dict)
     variants = []
     for path in args.counts:
         with open(path, "r", encoding="utf-8") as fh:

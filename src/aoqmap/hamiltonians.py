@@ -37,6 +37,10 @@ class ProblemHamiltonian:
         for i, _ in self.z:
             if not (0 <= i < self.n):
                 raise ValueError(f"z index {i} out of range")
+        if self.budget is not None and (isinstance(self.budget, bool)
+                                        or not isinstance(self.budget, (int, np.integer))
+                                        or not 0 <= self.budget <= self.n):
+            raise ValueError(f"budget must be an integer in 0..{self.n}, got {self.budget!r}")
 
     def zz_coeffs(self) -> dict[tuple[int, int], float]:
         return {(i, j): c for i, j, c in self.zz}

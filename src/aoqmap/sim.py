@@ -1,8 +1,20 @@
 """Exact statevector simulation, seeded sampling with optional depolarizing
 noise, and distribution-level verification of routed circuits.
 
-States are little-endian: bit k of a basis index is the value of wire
-position k. Distributions and counts live in logical-qubit space, i.e. the
+One state layout: an n-axis tensor of shape (2,) * n whose axis k is wire
+position k. A SWAP, and the swap half of ZZSWAP and CZSWAP, is
+`swapaxes`: a relabeling of two axes, with no arithmetic and no copy. The
+other two-qubit kinds edit slices of the tensor in place; one-qubit kinds
+contract a 2x2 matrix into one axis. `Statevector` amplitudes are this
+tensor with its axes reversed and flattened, so they are little-endian:
+bit k of a basis index is the value of position k.
+
+A noisy trajectory is measured on the tensor flattened as it stands, so
+its flat index is big-endian (bit n-1-k is position k). That is kept on
+purpose: `rng.choice` walks the probabilities in array order, so any other
+order would change every noisy count drawn for a fixed seed.
+
+Distributions and counts live in logical-qubit space, i.e. the
 measurement permutation (final_order) is already applied.
 """
 
@@ -14,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, CircuitBuilder, Permutation
+from .circuits import SWAPPING_KINDS, Circuit, CircuitBuilder, Permutation
 
 SIMULATOR_QUBIT_CAP = 16
 
@@ -101,78 +113,40 @@ def _mat_rz(t):
     return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
 
 
+_MATS_1Q = {"h": lambda _: _MAT_H, "x": lambda _: _MAT_X,
+            "rx": _mat_rx, "ry": _mat_ry, "rz": _mat_rz}
+
+
 def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    state = np.tensordot(mat, state, axes=([1], [q]))
-    return np.moveaxis(state, 0, q)
+    return np.moveaxis(np.tensordot(mat, state, axes=([1], [q])), 0, q)
 
 
-def _idx(n, assignments):
-    sl: list = [slice(None)] * n
-    for q, v in assignments.items():
-        sl[q] = v
-    return tuple(sl)
-
-
-def _apply_cx(state, a, b):
-    n = state.ndim
-    out = state.copy()
-    out[_idx(n, {a: 1, b: 0})] = state[_idx(n, {a: 1, b: 1})]
-    out[_idx(n, {a: 1, b: 1})] = state[_idx(n, {a: 1, b: 0})]
-    return out
-
-
-def _apply_cz(state, a, b):
-    n = state.ndim
-    state = state.copy()
-    state[_idx(n, {a: 1, b: 1})] *= -1.0
-    return state
-
-
-def _apply_swap(state, a, b):
-    n = state.ndim
-    out = state.copy()
-    out[_idx(n, {a: 0, b: 1})] = state[_idx(n, {a: 1, b: 0})]
-    out[_idx(n, {a: 1, b: 0})] = state[_idx(n, {a: 0, b: 1})]
-    return out
-
-
-def _apply_zz(state, a, b, theta):
-    n = state.ndim
-    state = state.copy()
-    even, odd = np.exp(-0.5j * theta), np.exp(0.5j * theta)
-    state[_idx(n, {a: 0, b: 0})] *= even
-    state[_idx(n, {a: 1, b: 1})] *= even
-    state[_idx(n, {a: 0, b: 1})] *= odd
-    state[_idx(n, {a: 1, b: 0})] *= odd
-    return state
-
-
-def _apply_gate(state, gate):
+def _apply_gate(state: np.ndarray, gate) -> np.ndarray:
+    """The position tensor after `gate`: `state` edited in place, a view of it,
+    or (1-qubit kinds) a new tensor."""
     kind = gate.kind
-    if kind == "h":
-        return _apply_1q(state, _MAT_H, gate.qubits[0])
-    if kind == "x":
-        return _apply_1q(state, _MAT_X, gate.qubits[0])
-    if kind == "rx":
-        return _apply_1q(state, _mat_rx(gate.angle), gate.qubits[0])
-    if kind == "ry":
-        return _apply_1q(state, _mat_ry(gate.angle), gate.qubits[0])
-    if kind == "rz":
-        return _apply_1q(state, _mat_rz(gate.angle), gate.qubits[0])
+    if kind in _MATS_1Q:
+        return _apply_1q(state, _MATS_1Q[kind](gate.angle), gate.qubits[0])
     a, b = gate.qubits
-    if kind == "cx":
-        return _apply_cx(state, a, b)
-    if kind == "cz":
-        return _apply_cz(state, a, b)
-    if kind == "swap":
-        return _apply_swap(state, a, b)
-    if kind == "zz":
-        return _apply_zz(state, a, b, gate.angle)
-    if kind == "zzswap":
-        return _apply_swap(_apply_zz(state, a, b, gate.angle), a, b)
-    if kind == "czswap":
-        return _apply_swap(_apply_cz(state, a, b), a, b)
-    raise ValueError(f"cannot simulate gate kind {kind!r}")
+    ix = [slice(None)] * state.ndim
+
+    def at(u, v):  # the slice where position a has index u and b has v
+        ix[a], ix[b] = u, v
+        return tuple(ix)
+
+    if kind == "cx":  # numpy copies the overlapping right-hand side first
+        state[at(1, slice(None))] = state[at(1, slice(None, None, -1))]
+    elif kind in ("cz", "czswap"):
+        state[at(1, 1)] *= -1.0
+    elif kind in ("zz", "zzswap"):
+        even, odd = np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)
+        state[at(0, 0)] *= even
+        state[at(1, 1)] *= even
+        state[at(0, 1)] *= odd
+        state[at(1, 0)] *= odd
+    elif kind != "swap":
+        raise ValueError(f"cannot simulate gate kind {kind!r}")
+    return state.swapaxes(a, b) if kind in SWAPPING_KINDS else state
 
 
 def _check_cap(n: int):
@@ -180,19 +154,27 @@ def _check_cap(n: int):
         raise SimulationCapError(f"exact simulation capped at {SIMULATOR_QUBIT_CAP} qubits, got {n}")
 
 
-def _run(circuit: Circuit) -> np.ndarray:
+def _run(circuit: Circuit, noise: NoiseModel | None = None, rng=None) -> np.ndarray:
+    """Position tensor after every gate, starting from |0...0>. With `noise`,
+    one depolarizing trajectory: after each gate, one `rng` uniform per
+    touched qubit picks X, Y or Z (each eps/4) or nothing."""
     state = np.zeros([2] * circuit.n, dtype=complex)
     state[(0,) * circuit.n] = 1.0
     for g in circuit.gates:
         state = _apply_gate(state, g)
+        eps = 0.0 if noise is None else (noise.eps_2q if g.is_two_qubit else noise.eps_1q)
+        if eps > 0.0:
+            for q in g.qubits:
+                r = rng.random()
+                if r < 0.75 * eps:
+                    state = _apply_1q(state, _PAULIS[int(r / (0.25 * eps))], q)
     return state
 
 
 def simulate(circuit: Circuit) -> Statevector:
     """Exact state after all gates (macro and basis kinds both supported)."""
     _check_cap(circuit.n)
-    state = _run(circuit)
-    flat = state.transpose(*reversed(range(circuit.n))).reshape(-1) if circuit.n else state.reshape(-1)
+    flat = _run(circuit).transpose().reshape(-1)
     norm = float(np.linalg.norm(flat))
     drift = 1e-10 * max(1.0, len(circuit.gates) / 100.0)
     if not abs(norm - 1.0) < max(drift, 1e-10):
@@ -240,29 +222,6 @@ def hellinger(p, q) -> float:
     return math.sqrt(max(0.0, 1.0 - affinity))
 
 
-def _sample_exact(circuit, shots, rng) -> dict[str, int]:
-    dist = distribution(circuit)
-    draws = rng.multinomial(shots, dist.probs)
-    return {_bits(i, circuit.n): int(c) for i, c in enumerate(draws) if c > 0}
-
-
-def _trajectory(circuit, rng, noise) -> int:
-    """One noisy run; returns the measured position-space basis index."""
-    state = np.zeros([2] * circuit.n, dtype=complex)
-    state[(0,) * circuit.n] = 1.0
-    for g in circuit.gates:
-        state = _apply_gate(state, g)
-        eps = noise.eps_2q if g.is_two_qubit else noise.eps_1q
-        if eps > 0.0:
-            for q in g.qubits:
-                r = rng.random()
-                if r < 0.75 * eps:
-                    state = _apply_1q(state, _PAULIS[int(r / (0.25 * eps))], q)
-    probs = np.abs(state.reshape(-1)) ** 2
-    probs /= probs.sum()
-    return int(rng.choice(len(probs), p=probs))
-
-
 def sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
            seed: int | None = None) -> dict[str, int]:
     """Measurement counts over logical bitstrings.
@@ -277,21 +236,18 @@ def sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
     if seed is None and noise is not None:
         seed = noise.seed
     if noise is None or noise.is_trivial:
-        return _sample_exact(circuit, shots, np.random.default_rng(seed))
+        draws = np.random.default_rng(seed).multinomial(shots, distribution(circuit).probs)
+        return {_bits(i, circuit.n): int(c) for i, c in enumerate(draws) if c > 0}
 
-    # tensor index -> little-endian position index -> logical index
+    # a trajectory's flat index is big-endian: bit p is position n-1-p
     n = circuit.n
-    weights = np.array([1 << (n - 1 - axis) for axis in range(n)], dtype=np.int64)
-    logical = _logical_index_map(n, circuit.final_order)
+    logical = _logical_index_map(n, Permutation(circuit.final_order.map[::-1]))
     counts: dict[str, int] = {}
     for child in np.random.SeedSequence(seed).spawn(shots):
         rng = np.random.default_rng(child)
-        raw = _trajectory(circuit, rng, noise)
-        pos_index = 0
-        for axis in range(n):
-            if raw & weights[axis]:
-                pos_index |= 1 << axis
-        bits = _bits(int(logical[pos_index]), n)
+        probs = np.abs(_run(circuit, noise, rng).reshape(-1)) ** 2
+        probs /= probs.sum()
+        bits = _bits(int(logical[rng.choice(len(probs), p=probs)]), n)
         counts[bits] = counts.get(bits, 0) + 1
     return counts
 

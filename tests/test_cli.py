@@ -220,6 +220,56 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_route_rejects_nonpositive_samples(tmp_path, capsys):
+    code = run(["route", "--maxcut-edges", "0-1,1-2", "--order-strategy", "sampled",
+                "--samples", "-3", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "route-linear.circuit.json").exists()
+
+
+@pytest.mark.parametrize("flag, problem", [
+    ("--gammas", ["--qaoa", "full", "--n", "5"]),
+    ("--betas", ["--qaoa", "full", "--n", "5"]),
+    ("--thetas", ["--vqe", "--n", "3"]),
+], ids=["gammas", "betas", "thetas"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_route_rejects_non_finite_angles(tmp_path, capsys, flag, problem, bad):
+    values = [bad] + ["1"] * (5 if flag == "--thetas" else 0)
+    code = run(["route", *problem, f"{flag}={','.join(values)}", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "route-linear.circuit.json").exists()
+
+
+def test_missing_field_names_file_and_key(tmp_path, capsys):
+    spec = {"lambda": 1.0, "A": 0.5, "B": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]], "mu": [0.1, 0.2]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "no-n.json").write_text(json.dumps({"zz": [], "z": []}))
+    (tmp_path / "no-coeff.json").write_text(json.dumps({"n": 2, "zz": [{"i": 0, "j": 1}]}))
+    (tmp_path / "counts.json").write_text(json.dumps({"01": 3}))
+    cases = [
+        (["route", "--portfolio-spec", str(tmp_path / "spec.json")], "spec.json", "'q'"),
+        (["route", "--hamiltonian", str(tmp_path / "no-n.json")], "no-n.json", "'n'"),
+        (["postselect", str(tmp_path / "counts.json"), "--hamiltonian",
+          str(tmp_path / "no-coeff.json")], "no-coeff.json", "'coeff'"),
+    ]
+    for argv, name, key in cases:
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and f"missing field {key}" in err
+
+
+def test_postselect_rejects_bad_budget(tmp_path, capsys):
+    h = {"n": 3, "zz": [{"i": 0, "j": 1, "coeff": 1.0}], "z": [], "constant": 0.0, "budget": "1"}
+    (tmp_path / "h.json").write_text(json.dumps(h))
+    (tmp_path / "c.json").write_text(json.dumps({"010": 2}))
+    code = run(["postselect", str(tmp_path / "c.json"), "--hamiltonian", str(tmp_path / "h.json"),
+                "--opt", "-1", "--max", "1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AOQMAP_SEED", "77")
     code = run(["route", "--maxcut-edges", "0-2,1-3", "--n", "5", "--p", "1",

@@ -198,3 +198,10 @@ def test_hamiltonian_json_roundtrip():
     h = ProblemHamiltonian(3, ((0, 2, -0.5),), ((1, 0.25),), constant=1.5, budget=2)
     again = hamiltonian_from_dict(hamiltonian_to_dict(h))
     assert again == h
+
+
+@pytest.mark.parametrize("budget", ["1", 1.0, True, -1, 4])
+def test_budget_must_be_an_integer_in_range(budget):
+    with pytest.raises(ValueError, match="budget"):
+        ProblemHamiltonian(3, budget=budget)
+    assert ProblemHamiltonian(3, budget=3).budget == 3
