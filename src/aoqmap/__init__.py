@@ -20,8 +20,8 @@ from .routing import (MIRROR_ALTERNATE, REPEAT, RoutedCircuit, RoutingError, Rou
 from .schedules import (SwapSchedule, connectivity_closure, consumed_layer_bound, depth_one_period,
                         h_layers, linear_layers, mirror, order_after, schedule_for, t_layers)
 from .selection import (Calibration, CalibrationError, CostReport, circuit_cost,
-                        calibration_from_dict, device_from_dict, postselect, select_layout,
-                        uniform_calibration)
+                        calibration_from_dict, device_from_dict, layout_costs, postselect,
+                        select_layout, uniform_calibration)
 from .sim import (Distribution, NoiseModel, SIMULATOR_QUBIT_CAP, SimulationCapError, Statevector,
                   VerifyReport, distribution, hellinger, permute_to_logical, reference_circuit,
                   sample, simulate, verify)

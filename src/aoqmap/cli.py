@@ -23,7 +23,7 @@ from .hamiltonians import (ProblemHamiltonian, PortfolioSpec, QaoaParams, brute_
                            is_feasible, metrics)
 from .routing import (route_qaoa_linear, route_qaoa_partial, route_qaoa_subtop, route_vqe_linear,
                       swapnk_baseline)
-from .selection import circuit_cost, device_from_dict, postselect, select_layout
+from .selection import device_from_dict, layout_costs, postselect, select_layout
 from .sim import SIMULATOR_QUBIT_CAP, reference_circuit, verify
 from .topology import builtin_device, enumerate_layouts, graph_from_dict, template
 
@@ -49,11 +49,14 @@ def _resolve_seed(args) -> int:
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return data
 
 
 def _load(path: str, loader):
@@ -299,10 +302,8 @@ def cmd_select(args) -> int:
         "measurement_error_product": best.measurement_error_product,
     }
     if args.table:
-        result["table"] = [
-            {"layout": list(l), "cost": circuit_cost(circuit, l, cal).cost}
-            for l in enumerate_layouts(tmpl, graph)
-        ]
+        result["table"] = [{"layout": list(r.layout), "cost": r.cost}
+                           for r in layout_costs(circuit, enumerate_layouts(tmpl, graph), cal)]
     _finish(args, result, f"layout {list(layout)} cost {best.cost:.6g}")
     return EXIT_OK
 
@@ -335,8 +336,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_VERIFY_FAIL
 
 
+def _compare_fields(report: dict) -> dict:
+    fields = {key: report[key] for key in ("router", "swap_count", "cx_count", "depth")}
+    return {"problem": report.get("problem"), **fields}
+
+
 def cmd_compare(args) -> int:
-    reports = [(path, _read_json(path)) for path in args.reports]
+    reports = [(path, _load(path, _compare_fields)) for path in args.reports]
     if len(reports) < 2:
         raise CliError("compare needs at least two report files")
     problems = {json.dumps(r.get("problem"), sort_keys=True) for _, r in reports}
@@ -375,8 +381,11 @@ def cmd_postselect(args) -> int:
     h = _load(args.hamiltonian, hamiltonian_from_dict)
     variants = []
     for path in args.counts:
-        with open(path, "r", encoding="utf-8") as fh:
-            counts = counts_from_json(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                counts = counts_from_json(fh.read())
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from None
         for bits in counts:
             if len(bits) != h.n:
                 raise CliError(f"{path}: bitstring length {len(bits)} != n {h.n}")
@@ -495,10 +504,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

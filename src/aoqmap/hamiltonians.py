@@ -264,7 +264,9 @@ def hamiltonian_from_dict(data: dict) -> ProblemHamiltonian:
 
 def counts_from_json(text: str) -> dict[str, int]:
     raw = json.loads(text)
-    counts = {str(k): int(v) for k, v in raw.items()}
-    if any(v < 0 for v in counts.values()):
-        raise ValueError("negative shot count")
-    return counts
+    if not isinstance(raw, dict):
+        raise ValueError("expected a JSON object of bitstring: shot count")
+    for bits, shots in raw.items():
+        if type(shots) is not int or shots < 0:  # bool is a subclass of int
+            raise ValueError(f"shot count {shots!r} for {bits!r} is not a non-negative integer")
+    return raw

@@ -119,31 +119,22 @@ def _walk(start_order, edges, layers, pairs):
 def _strip_trailing(ops, demote_fused: bool):
     """Drop trailing standalone SWAPs; optionally demote trailing ZZSWAP to ZZ.
 
-    A swap is trailing when no later op acts on either of its wires.
+    A swap is trailing when no later op acts on either of its wires. One
+    backward walk finds them all: a dropped swap touches no wire, and a
+    demoted ZZSWAP still touches both of its wires.
     """
-    ops = list(ops)
-    changed = True
-    while changed:
-        changed = False
-        touched: set[int] = set()
-        for idx in range(len(ops) - 1, -1, -1):
-            kind, (i, j), pair = ops[idx]
-            free = i not in touched and j not in touched
-            if kind == "swap" and free:
-                ops.pop(idx)
-                changed = True
-                break
-            if kind == "zzswap" and demote_fused and free:
-                ops[idx] = ("zz", (i, j), pair)
-                changed = True
-                break
-            touched.update((i, j))
-    return ops
-
-
-def _reverse_block(ops):
-    """Mirror replay: same ops in reverse order (ZZ and SWAP on a pair commute)."""
-    return list(reversed(ops))
+    kept = []
+    touched: set[int] = set()
+    for op in reversed(ops):
+        kind, (i, j), pair = op
+        free = i not in touched and j not in touched
+        if kind == "swap" and free:
+            continue
+        if kind == "zzswap" and demote_fused and free:
+            op = ("zz", (i, j), pair)
+        touched.update((i, j))
+        kept.append(op)
+    return kept[::-1]
 
 
 def _op_cx(ops) -> int:
@@ -210,7 +201,7 @@ def _route_qaoa_full(h, params, kind, mirror, label):
     prev_block = None
     for d in range(params.p):
         if mirror and d % 2 == 1:
-            ops = _reverse_block(prev_block)
+            ops = prev_block[::-1]  # mirror replay: ZZ and SWAP on a pair commute
         else:
             ops = _walk(builder.order, tmpl.edges, layers, pairs)
         prev_block = ops
@@ -313,6 +304,8 @@ def route_qaoa_partial(h: ProblemHamiltonian, params: QaoaParams, kind: str = "l
         raise ValueError(f"unknown order strategy {strategy!r}")
     if strategy == "exhaustive" and h.n > 8:
         raise ValueError("exhaustive order search is capped at n <= 8; use strategy='sampled'")
+    if strategy == "sampled" and samples < 1:
+        raise ValueError(f"sampled order search needs samples >= 1, got {samples}")
     layers = schedule_for(kind, h.n).layers[:consumed_layer_bound(kind, h.n)]
     pairs = tuple(sorted((i, j) for i, j, _ in h.zz))
     zz_coeff = h.zz_coeffs()
@@ -338,7 +331,7 @@ def route_qaoa_partial(h: ProblemHamiltonian, params: QaoaParams, kind: str = "l
     for q in range(h.n):
         builder.h(q)
     for d in range(params.p):
-        block = ops if d % 2 == 0 else _reverse_block(ops)
+        block = ops if d % 2 == 0 else ops[::-1]
         _emit_two_qubit_block(builder, block, params.gammas[d], zz_coeff)
         _emit_mixer_layer(builder, z_coeff, params.gammas[d], params.betas[d])
 

@@ -57,55 +57,57 @@ class CostReport:
     gate_count: int = 0
 
 
+def layout_costs(circuit: Circuit, layouts, cal: Calibration,
+                 measured_positions=None) -> list[CostReport]:
+    """Estimated-error cost C = 1 - prod(1 - p_gate) * prod(1 - p_meas) of each
+    layout in order, all scored from one basis decomposition of the circuit;
+    every position in `measured_positions` (default: all) adds its readout error."""
+    gates = decompose_to_basis(circuit).gates
+    measured = tuple(range(circuit.n) if measured_positions is None else measured_positions)
+    reports = []
+    for layout in map(tuple, layouts):
+        if len(layout) < circuit.n:
+            raise ValueError(f"layout covers {len(layout)} positions, circuit needs {circuit.n}")
+        gate_product = 1.0
+        for g in gates:
+            if g.is_two_qubit:
+                a, b = g.qubits
+                gate_product *= 1.0 - cal.two_qubit_error(layout[a], layout[b])
+            else:
+                q = layout[g.qubits[0]]
+                try:
+                    gate_product *= 1.0 - cal.sq_error[q]
+                except IndexError:
+                    raise CalibrationError(f"no single-qubit calibration for qubit {q}") from None
+        meas_product = 1.0
+        for p in measured:
+            q = layout[p]
+            try:
+                meas_product *= 1.0 - cal.readout_error[q]
+            except IndexError:
+                raise CalibrationError(f"no readout calibration for qubit {q}") from None
+        reports.append(CostReport(layout=layout, cost=1.0 - gate_product * meas_product,
+                                  gate_error_product=gate_product,
+                                  measurement_error_product=meas_product,
+                                  gate_count=len(gates)))
+    return reports
+
+
 def circuit_cost(circuit: Circuit, layout, cal: Calibration,
                  measured_positions=None) -> CostReport:
-    """Estimated-error cost C = 1 - prod(1 - p_gate) * prod(1 - p_meas).
-
-    Gates are counted on the basis-decomposed circuit; every position in
-    `measured_positions` (default: all) contributes its readout error.
-    """
-    layout = tuple(layout)
-    if len(layout) < circuit.n:
-        raise ValueError(f"layout covers {len(layout)} positions, circuit needs {circuit.n}")
-    dec = decompose_to_basis(circuit)
-    gate_product = 1.0
-    for g in dec.gates:
-        if g.is_two_qubit:
-            a, b = g.qubits
-            gate_product *= 1.0 - cal.two_qubit_error(layout[a], layout[b])
-        else:
-            q = layout[g.qubits[0]]
-            try:
-                gate_product *= 1.0 - cal.sq_error[q]
-            except IndexError:
-                raise CalibrationError(f"no single-qubit calibration for qubit {q}") from None
-    if measured_positions is None:
-        measured_positions = range(circuit.n)
-    meas_product = 1.0
-    for p in measured_positions:
-        q = layout[p]
-        try:
-            meas_product *= 1.0 - cal.readout_error[q]
-        except IndexError:
-            raise CalibrationError(f"no readout calibration for qubit {q}") from None
-    return CostReport(layout=layout, cost=1.0 - gate_product * meas_product,
-                      gate_error_product=gate_product,
-                      measurement_error_product=meas_product,
-                      gate_count=len(dec.gates))
+    """The `layout_costs` report of one layout."""
+    return layout_costs(circuit, [layout], cal, measured_positions)[0]
 
 
 def select_layout(circuit: Circuit, tmpl: SubtopologyTemplate, graph: CouplingGraph,
                   cal: Calibration):
     """Argmin-cost layout over all monomorphisms; ties go to the
-    lexicographically smallest layout."""
+    lexicographically smallest layout (layouts come sorted, and `min` keeps
+    the first of equal costs)."""
     layouts = enumerate_layouts(tmpl, graph)
     if not layouts:
         raise ValueError(f"{tmpl.kind}-{tmpl.n} template is not embeddable in the device graph")
-    best = None
-    for layout in layouts:  # already lexicographically sorted
-        report = circuit_cost(circuit, layout, cal)
-        if best is None or report.cost < best.cost:
-            best = report
+    best = min(layout_costs(circuit, layouts, cal), key=lambda report: report.cost)
     return best.layout, best
 
 
@@ -114,15 +116,11 @@ def postselect(variants, h: ProblemHamiltonian):
 
     Ties resolve to the earliest variant in input order.
     """
-    variants = list(variants)
-    if not variants:
+    scored = [(expectation(h, counts), label) for label, counts in variants]
+    if not scored:
         raise ValueError("postselect needs at least one variant")
-    best = None
-    for idx, (label, counts) in enumerate(variants):
-        val = expectation(h, counts)
-        if best is None or val < best[0]:
-            best = (val, idx, label)
-    return best[2], best[0]
+    value, label = min(scored, key=lambda item: item[0])
+    return label, value
 
 
 def calibration_from_dict(data: dict) -> Calibration:

@@ -270,6 +270,54 @@ def test_postselect_rejects_bad_budget(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["route", "verify", "postselect", "select", "compare"])
+def test_top_level_json_must_be_an_object(tmp_path, capsys, entry):
+    run(["route", "--qaoa", "full", "--n", "3", "--out-dir", str(tmp_path)])
+    circuit = str(tmp_path / "route-linear.circuit.json")
+    report = str(tmp_path / "route-linear.report.json")
+    (tmp_path / "counts.json").write_text(json.dumps({"000": 1}))
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([1, 2]))
+    argv = {
+        "route": ["route", "--hamiltonian", str(bad)],
+        "verify": ["verify", "--circuit", circuit, "--report", str(bad)],
+        "postselect": ["postselect", str(tmp_path / "counts.json"), "--hamiltonian", str(bad)],
+        "select": ["select", "--circuit", str(bad), "--device", "builtin:27q-heavy-hex"],
+        "compare": ["compare", report, str(bad), "--baseline", report],
+    }[entry]
+    capsys.readouterr()
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: expected a JSON object\n"
+
+
+def test_compare_missing_field_names_file_and_key(tmp_path, capsys):
+    run(["route", "--qaoa", "full", "--n", "3", "--out-dir", str(tmp_path)])
+    report, bad = tmp_path / "route-linear.report.json", tmp_path / "bad.report.json"
+    data = read(report)
+    del data["router"]
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run(["compare", str(report), str(bad), "--baseline", str(report),
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: missing field 'router'\n"
+
+
+@pytest.mark.parametrize("counts", [{"01": 2.7}, {"01": True}, {"01": "3"}, {"01": -1},
+                                    [["01", 2]]],
+                         ids=["float", "bool", "str", "negative", "list"])
+def test_postselect_rejects_bad_counts(tmp_path, capsys, counts):
+    h = {"n": 2, "zz": [{"i": 0, "j": 1, "coeff": 1.0}], "z": [], "constant": 0.0}
+    (tmp_path / "h.json").write_text(json.dumps(h))
+    (tmp_path / "c.json").write_text(json.dumps(counts))
+    code = run(["postselect", str(tmp_path / "c.json"), "--hamiltonian", str(tmp_path / "h.json"),
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'c.json'}: ") and err.count("\n") == 1
+    assert not (tmp_path / "postselect.manifest.json").exists()
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AOQMAP_SEED", "77")
     code = run(["route", "--maxcut-edges", "0-2,1-3", "--n", "5", "--p", "1",

@@ -214,6 +214,13 @@ def test_partial_exhaustive_cap():
     assert routed.report.cx_count == 2
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_partial_sampled_rejects_nonpositive_samples(samples):
+    h = build_maxcut_hamiltonian([(0, 1), (1, 2)], 3)
+    with pytest.raises(ValueError, match="samples"):
+        route_qaoa_partial(h, PARAMS1, strategy="sampled", samples=samples)
+
+
 def test_optimal_cx_target_examples():
     complete_pairs = [(i, j) for i in range(4) for j in range(i + 1, 5)]
     assert optimal_cx_target(complete_pairs, 5) == route_qaoa_linear(complete_h(5), PARAMS1).report.cx_count

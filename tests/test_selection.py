@@ -1,11 +1,17 @@
 """Cost function, layout selection, and postselection."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from aoqmap import (Calibration, CalibrationError, Circuit, CircuitBuilder, CouplingGraph,
-                    ProblemHamiltonian, builtin_device, circuit_cost, decompose_to_basis,
-                    enumerate_layouts, postselect, select_layout, template, uniform_calibration)
+                    ProblemHamiltonian, QaoaParams, builtin_device, circuit_cost, circuit_to_dict,
+                    decompose_to_basis, enumerate_layouts, layout_costs, postselect,
+                    route_qaoa_linear, select_layout, template, uniform_calibration)
+from aoqmap import selection
+from aoqmap.cli import main
 
 
 def line_graph(n):
@@ -119,6 +125,91 @@ def test_select_layout_unembeddable():
         select_layout(Circuit(3), template("linear", 3), g, line_cal(3))
 
 
+def _random_calibration(graph, rng):
+    return Calibration(
+        readout_error=tuple(float(r) for r in rng.uniform(0.005, 0.05, graph.num_qubits)),
+        sq_error=tuple(float(r) for r in rng.uniform(0.0001, 0.002, graph.num_qubits)),
+        edge_error={e: float(rng.uniform(0.002, 0.05)) for e in sorted(graph.edges)},
+    )
+
+
+def _write_calibrated_device(path, seed=11):
+    g = builtin_device("27q-heavy-hex")
+    cal = _random_calibration(g, np.random.default_rng(seed))
+    path.write_text(json.dumps({
+        "num_qubits": g.num_qubits,
+        "edges": [list(e) for e in sorted(g.edges)],
+        "calibration": {
+            "qubits": [{"readout_error": r, "sq_error": s}
+                       for r, s in zip(cal.readout_error, cal.sq_error)],
+            "edges": [{"pair": list(e), "error": err} for e, err in sorted(cal.edge_error.items())],
+        },
+    }))
+    return path
+
+
+def test_layout_costs_match_circuit_cost_in_order():
+    rng = np.random.default_rng(3)
+    g = builtin_device("27q-heavy-hex")
+    cal = _random_calibration(g, rng)
+    h = ProblemHamiltonian(5, tuple((i, j, 1.0) for i in range(4) for j in range(i + 1, 5)))
+    circuit = route_qaoa_linear(h, QaoaParams((0.4,), (0.3,))).circuit
+    layouts = enumerate_layouts(template("linear", 5), g)[::-1]
+    for measured in (None, (0, 3)):
+        reports = layout_costs(circuit, layouts, cal, measured)
+        assert reports == [circuit_cost(circuit, l, cal, measured) for l in layouts]
+    with pytest.raises(ValueError, match="covers 4 positions"):
+        layout_costs(circuit, [layouts[0], layouts[0][:4]], cal)
+
+
+def test_select_decomposes_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = selection.decompose_to_basis
+    monkeypatch.setattr(selection, "decompose_to_basis",
+                        lambda circuit: calls.append(circuit) or real(circuit))
+    g = builtin_device("27q-heavy-hex")
+    cal = _random_calibration(g, np.random.default_rng(5))
+    h = ProblemHamiltonian(7, tuple((i, j, 1.0) for i in range(6) for j in range(i + 1, 7)))
+    circuit = route_qaoa_linear(h, QaoaParams((0.4,), (0.3,))).circuit
+    select_layout(circuit, template("linear", 7), g, cal)
+    assert calls == [circuit]
+
+    (tmp_path / "c.json").write_text(json.dumps(circuit_to_dict(circuit)))
+    device = _write_calibrated_device(tmp_path / "device.json")
+    argv = ["select", "--circuit", str(tmp_path / "c.json"), "--device", str(device),
+            "--template", "linear", "--json", "--out-dir", str(tmp_path)]
+    calls.clear()
+    assert main(argv) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    calls.clear()
+    assert main(argv + ["--table"]) == 0
+    assert len(calls) == 2  # one for select_layout, one for the table rows
+    assert len(json.loads(capsys.readouterr().out)["table"]) == 132
+
+
+def test_selection_golden(tmp_path, capsys):
+    """`select --json --table` stdout pinned by digest: costs and products
+    appear in full repr precision, so any change to the scoring order shows."""
+    device = _write_calibrated_device(tmp_path / "device.json")
+    jobs = []
+    for n in (7, 9, 11, 13):
+        assert main(["route", "--qaoa", "full", "--n", str(n), "--subtopology", "all",
+                     "--label", f"q{n}", "--out-dir", str(tmp_path)]) == 0
+        jobs += [(f"{kind}-n{n}", f"q{n}-{kind}") for kind in ("linear", "t", "h")]
+    assert main(["route", "--vqe", "--n", "11", "--label", "vqe11",
+                 "--out-dir", str(tmp_path)]) == 0
+    jobs.append(("vqe-n11", "vqe11-linear"))
+    capsys.readouterr()
+    digests = {}
+    for case, stem in jobs:
+        assert main(["select", "--circuit", str(tmp_path / f"{stem}.circuit.json"),
+                     "--device", str(device), "--report", str(tmp_path / f"{stem}.report.json"),
+                     "--table", "--json", "--out-dir", str(tmp_path)]) == 0
+        digests[case] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digests == SELECTION_GOLDEN
+
+
 def test_postselect_basics():
     h = ProblemHamiltonian(2, ((0, 1, 1.0),))
     good = {"01": 100}   # E = -1
@@ -131,3 +222,22 @@ def test_postselect_basics():
     assert label == "first"
     with pytest.raises(ValueError):
         postselect([], h)
+
+
+# sha256 prefixes of `select --json --table` stdout for each test_selection_golden case,
+# taken before layout scoring moved to one decomposition per call
+SELECTION_GOLDEN = {
+    "linear-n7": "15d81c99def7d348",
+    "t-n7": "04d23347f2e878d6",
+    "h-n7": "a75f4bff73601537",
+    "linear-n9": "6449aa7f4a229eca",
+    "t-n9": "f241f024b4671989",
+    "h-n9": "13c8ae9b928503a2",
+    "linear-n11": "bfc19117cb38698d",
+    "t-n11": "5064bcefcc8a310a",
+    "h-n11": "ccdf083aa34d0066",
+    "linear-n13": "8b9234928d52dc49",
+    "t-n13": "e363aba50af5ca3f",
+    "h-n13": "aee331946da0f17e",
+    "vqe-n11": "faaf989b8c6d495d",
+}
