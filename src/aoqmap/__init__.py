@@ -8,8 +8,8 @@ against calibration data, and verify routed circuits by exact simulation.
 __version__ = "0.1.0"
 
 from .circuits import (BASIS_KINDS, Circuit, CircuitBuilder, Gate, GateCounts, Permutation,
-                       UnknownGateError, circuit_from_dict, circuit_from_json, circuit_to_dict,
-                       circuit_to_json, decompose_to_basis, depth, emit_qasm, gate_counts)
+                       UnknownGateError, circuit_from_dict, circuit_to_dict, decompose_to_basis,
+                       depth, emit_qasm, gate_counts)
 from .hamiltonians import (MetricReport, PortfolioSpec, ProblemHamiltonian, QaoaParams,
                            brute_force_extrema, build_maxcut_hamiltonian,
                            build_portfolio_hamiltonian, counts_from_json, energy, expectation,
@@ -18,7 +18,7 @@ from .routing import (MIRROR_ALTERNATE, REPEAT, RoutedCircuit, RoutingError, Rou
                       optimal_cx_target, route_qaoa_linear, route_qaoa_partial, route_qaoa_subtop,
                       route_vqe_linear, swapnk_baseline)
 from .schedules import (SwapSchedule, connectivity_closure, consumed_layer_bound, depth_one_period,
-                        h_layers, linear_layers, mirror, order_after, schedule_for, t_layers)
+                        h_layers, linear_layers, order_after, schedule_for, t_layers)
 from .selection import (Calibration, CalibrationError, CostReport, circuit_cost,
                         calibration_from_dict, device_from_dict, layout_costs, postselect,
                         select_layout, uniform_calibration)

@@ -10,7 +10,6 @@ CX pairs instead of paying the full 3-CX SWAP cost.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 SINGLE_QUBIT_KINDS = frozenset({"h", "x", "rx", "ry", "rz"})
@@ -62,16 +61,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
-
-    def index(self, logical: int) -> int:
-        """Position currently holding the given logical qubit."""
-        return self.map.index(logical)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.map)
-        for pos, logical in enumerate(self.map):
-            inv[logical] = pos
-        return Permutation(inv)
 
     def __len__(self):
         return len(self.map)
@@ -246,9 +235,6 @@ def gate_counts(circuit: Circuit) -> GateCounts:
     return GateCounts(cx=cx, total=len(dec.gates), depth=depth(dec))
 
 
-_QASM_NAMES = {"h": "h", "x": "x", "rx": "rx", "ry": "ry", "rz": "rz", "cx": "cx"}
-
-
 def emit_qasm(circuit: Circuit) -> str:
     """OpenQASM 2.0 text; requires a basis-decomposed circuit.
 
@@ -259,12 +245,11 @@ def emit_qasm(circuit: Circuit) -> str:
     for g in circuit.gates:
         if g.kind not in BASIS_KINDS:
             raise UnknownGateError(f"cannot emit non-basis gate {g.kind!r}; decompose first")
-        name = _QASM_NAMES[g.kind]
         args = ", ".join(f"q[{q}]" for q in g.qubits)
         if g.angle is not None:
-            lines.append(f"{name}({g.angle!r}) {args};")
+            lines.append(f"{g.kind}({g.angle!r}) {args};")
         else:
-            lines.append(f"{name} {args};")
+            lines.append(f"{g.kind} {args};")
     for p in range(circuit.n):
         lines.append(f"measure q[{p}] -> c[{circuit.final_order[p]}];")
     return "\n".join(lines) + "\n"
@@ -284,15 +269,10 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(data: dict) -> Circuit:
+    n = data["n"]
+    if type(n) is not int:  # bool is a subclass of int
+        raise ValueError(f"field 'n' must be an integer, got {n!r}")
     gates = tuple(Gate(g["kind"], tuple(g["qubits"]), g.get("angle")) for g in data["gates"])
     final = Permutation(data["final_order"]) if "final_order" in data else None
-    return Circuit(int(data["n"]), gates, Permutation(data["initial_order"]), final,
+    return Circuit(n, gates, Permutation(data["initial_order"]), final,
                    label=data.get("label", ""))
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    return json.dumps(circuit_to_dict(circuit), indent=2)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    return circuit_from_dict(json.loads(text))

@@ -60,12 +60,14 @@ def _read_json(path: str) -> dict:
 
 
 def _load(path: str, loader):
-    """`loader` applied to the JSON in `path`; a missing key names the file."""
+    """`loader` applied to the JSON in `path`; its errors name the file."""
     data = _read_json(path)
     try:
         return loader(data)
     except KeyError as exc:
         raise CliError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _write_json(path: str, data) -> str:
@@ -183,6 +185,8 @@ def cmd_route(args) -> int:
     seed = _resolve_seed(args)
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
+    if args.p < 1:
+        raise CliError(f"--p must be at least 1, got {args.p}")
     mode, h = _problem_from_args(args)
     p = args.p
     thetas = None
@@ -292,6 +296,10 @@ def cmd_select(args) -> int:
             raise CliError("pass --template or --report to identify the subtopology")
         kind = _load(args.report, lambda report: report["template_kind"])
     tmpl = template(kind, circuit.n)
+    try:
+        tmpl.check_gates(circuit.gates)
+    except ValueError as exc:
+        raise CliError(f"{args.circuit}: {exc}") from None
     layout, best = select_layout(circuit, tmpl, graph, cal)
     result = {
         "template": kind,

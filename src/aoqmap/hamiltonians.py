@@ -9,6 +9,7 @@ minimized.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,10 +256,29 @@ def hamiltonian_to_dict(h: ProblemHamiltonian) -> dict:
     return out
 
 
+def _number(value, name: str, integer: bool = False):
+    """`value` if it is a JSON integer (or, unless `integer`, a finite
+    number); otherwise ValueError naming the field. bool is excluded."""
+    if type(value) is int or (not integer and type(value) is float and math.isfinite(value)):
+        return value
+    raise ValueError(f"field {name!r} must be {'an integer' if integer else 'a finite number'}, "
+                     f"got {value!r}")
+
+
+def _terms(data: dict, key: str, fields: tuple[str, ...]) -> tuple:
+    """The `key` list of term objects as tuples of their `fields`."""
+    items = data.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(t, dict) for t in items):
+        raise ValueError(f"field {key!r} must be a list of objects with keys {', '.join(fields)}")
+    return tuple(tuple(_number(t[f], f"{key}[{k}].{f}", integer=(f != "coeff")) for f in fields)
+                 for k, t in enumerate(items))
+
+
 def hamiltonian_from_dict(data: dict) -> ProblemHamiltonian:
-    zz = tuple((t["i"], t["j"], t["coeff"]) for t in data.get("zz", ()))
-    z = tuple((t["i"], t["coeff"]) for t in data.get("z", ()))
-    return ProblemHamiltonian(int(data["n"]), zz, z, float(data.get("constant", 0.0)),
+    zz = _terms(data, "zz", ("i", "j", "coeff"))
+    z = _terms(data, "z", ("i", "coeff"))
+    return ProblemHamiltonian(_number(data["n"], "n", integer=True), zz, z,
+                              float(_number(data.get("constant", 0.0), "constant")),
                               data.get("budget"))
 
 

@@ -1,17 +1,22 @@
 """Routers: compile QAOA/VQE interaction structure onto subtopology schedules.
 
-One walker, `_walk`, places ZZ interactions for both the fully connected and
-the partial-connectivity QAOA routers. It walks swap layers keeping a live
-position->logical order: before each layer, pending pairs sitting on a free
-template edge are emitted bare; each slot of the layer then fuses its pair
-into a ZZSWAP when pending and swaps bare otherwise; a closing free sweep
-follows the last layer, and the walk stops once every pair is placed. Full
-routers pass all pairs and the layers of `schedules.full_routing_layers`,
-which holds H's closing rule. Swap emission is kept lazy at the tail:
-standalone SWAPs with no later gates on their wires are dropped, and the
-partial router additionally demotes trailing fused gates and folds leading
-swaps into the initial order. The VQE router and the swap-network baseline
-fuse every brickwork slot and so emit their gates directly.
+One walker, `_walk`, places ZZ interactions for every QAOA router. It walks
+swap layers keeping a live position->logical order: before each layer,
+pending pairs sitting on a free template edge are emitted bare; each slot of
+the layer then fuses its pair into a ZZSWAP when pending and swaps bare
+otherwise; a closing free sweep follows the last layer, and the walk stops
+once every pair is placed. Full routers pass all pairs and the layers of
+`schedules.full_routing_layers`, which holds H's closing rule; the
+swap-network baseline passes the full brickwork and no free edges, so every
+slot is fused. Swap emission is kept lazy at the tail: standalone SWAPs with
+no later gates on their wires are dropped, and the partial router
+additionally demotes trailing fused gates and folds leading swaps into the
+initial order.
+
+One emitter, `_qaoa_circuit`, builds every QAOA circuit: Hadamards, then per
+depth a router-supplied two-qubit block and the mixer layer. Mirror routing
+(and every partial route) alternates one block with its reverse. The VQE
+router emits its brickwork CZ/CZSWAP layers directly.
 """
 
 from __future__ import annotations
@@ -58,12 +63,10 @@ class RoutedCircuit:
     report: RoutingReport
 
     def __post_init__(self):
-        edges = self.template.edge_set()
-        for g in self.circuit.gates:
-            if g.is_two_qubit:
-                a, b = sorted(g.qubits)
-                if (a, b) not in edges:
-                    raise RoutingError(f"{g.kind} on {(a, b)} is not a template edge")
+        try:
+            self.template.check_gates(self.circuit.gates)
+        except ValueError as exc:
+            raise RoutingError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +144,6 @@ def _op_cx(ops) -> int:
     return sum(_OP_CX[kind] for kind, _, _ in ops)
 
 
-def _emit_two_qubit_block(builder, ops, gamma, zz_coeff):
-    for kind, (i, j), pair in ops:
-        if kind == "swap":
-            builder.swap(i, j)
-        else:
-            theta = 2.0 * gamma * zz_coeff[pair]
-            if kind == "zz":
-                builder.zz(i, j, theta)
-            else:
-                builder.zzswap(i, j, theta)
-
-
-def _emit_mixer_layer(builder, z_coeff, gamma, beta):
-    order = builder.order
-    for k in range(builder.n):
-        c = z_coeff.get(order[k], 0.0)
-        if c != 0.0:
-            builder.rz(k, 2.0 * gamma * c)
-        builder.rx(k, 2.0 * beta)
-
-
 def _swap_gate_count(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if g.kind in SWAPPING_KINDS)
 
@@ -186,31 +168,49 @@ def _require_complete(h: ProblemHamiltonian, router: str):
                          "use route_qaoa_partial for sparse interactions")
 
 
-def _route_qaoa_full(h, params, kind, mirror, label):
-    tmpl = template(kind, h.n)
-    _require_complete(h, f"route_qaoa {kind}")
+def _qaoa_circuit(h: ProblemHamiltonian, params: QaoaParams, label: str, block,
+                  initial_order=None) -> Circuit:
+    """The QAOA skeleton every QAOA router shares: a Hadamard layer, then per
+    depth d the two-qubit ops `block(d, live order)` followed by the mixer."""
     zz_coeff = h.zz_coeffs()
     z_coeff = h.z_coeffs()
-
-    layers = full_routing_layers(kind, h.n)
-    pairs = tuple(zz_coeff)
-
-    builder = CircuitBuilder(h.n, label=label)
+    builder = CircuitBuilder(h.n, initial_order=initial_order, label=label)
     for q in range(h.n):
         builder.h(q)
-    prev_block = None
     for d in range(params.p):
-        if mirror and d % 2 == 1:
-            ops = prev_block[::-1]  # mirror replay: ZZ and SWAP on a pair commute
-        else:
-            ops = _walk(builder.order, tmpl.edges, layers, pairs)
-        prev_block = ops
-        if d == params.p - 1:
-            ops = _strip_trailing(ops, demote_fused=False)
-        _emit_two_qubit_block(builder, ops, params.gammas[d], zz_coeff)
-        _emit_mixer_layer(builder, z_coeff, params.gammas[d], params.betas[d])
+        gamma = params.gammas[d]
+        for kind, (i, j), pair in block(d, builder.order):
+            if kind == "swap":
+                builder.swap(i, j)
+            else:  # zz or zzswap
+                builder.add(kind, (i, j), 2.0 * gamma * zz_coeff[pair])
+        order = builder.order
+        for k in range(h.n):
+            c = z_coeff.get(order[k], 0.0)
+            if c != 0.0:
+                builder.rz(k, 2.0 * gamma * c)
+            builder.rx(k, 2.0 * params.betas[d])
+    return builder.build()
 
-    circuit = builder.build()
+
+def _route_qaoa_full(h, params, kind, mirror):
+    tmpl = template(kind, h.n)
+    _require_complete(h, f"route_qaoa {kind}")
+    layers = full_routing_layers(kind, h.n)
+    pairs = tuple(h.zz_coeffs())
+    walked = None
+
+    def block(d, order):
+        # Mirror routing walks once: the unstripped block followed by its
+        # reverse (ZZ and SWAP on a pair commute) brings the order home.
+        nonlocal walked
+        if walked is None or not mirror:
+            walked = _walk(order, tmpl.edges, layers, pairs)
+        ops = walked[::-1] if mirror and d % 2 else walked
+        return _strip_trailing(ops, demote_fused=False) if d == params.p - 1 else ops
+
+    label = f"qaoa-{kind}{'-mirror' if mirror else ''}-n{h.n}-p{params.p}"
+    circuit = _qaoa_circuit(h, params, label, block)
     report = _build_report(circuit, placed=len(h.zz) * params.p,
                            consumed=consumed_layer_bound(kind, h.n))
     return RoutedCircuit(circuit, tmpl, MIRROR_ALTERNATE if mirror else REPEAT, report)
@@ -219,8 +219,7 @@ def _route_qaoa_full(h, params, kind, mirror, label):
 def route_qaoa_linear(h: ProblemHamiltonian, params: QaoaParams, mirror: bool = False) -> RoutedCircuit:
     """Fully connected QAOA on the linear chain (mirror=True alternates the
     schedule with its reverse across depths)."""
-    return _route_qaoa_full(h, params, "linear", mirror,
-                            f"qaoa-linear{'-mirror' if mirror else ''}-n{h.n}-p{params.p}")
+    return _route_qaoa_full(h, params, "linear", mirror)
 
 
 def route_qaoa_subtop(h: ProblemHamiltonian, params: QaoaParams, kind: str,
@@ -228,8 +227,7 @@ def route_qaoa_subtop(h: ProblemHamiltonian, params: QaoaParams, kind: str,
     """Fully connected QAOA on the T- or H-shaped template."""
     if kind not in ("t", "h"):
         raise ValueError(f"route_qaoa_subtop expects kind 't' or 'h', got {kind!r}")
-    return _route_qaoa_full(h, params, kind, mirror,
-                            f"qaoa-{kind}{'-mirror' if mirror else ''}-n{h.n}-p{params.p}")
+    return _route_qaoa_full(h, params, kind, mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +306,6 @@ def route_qaoa_partial(h: ProblemHamiltonian, params: QaoaParams, kind: str = "l
         raise ValueError(f"sampled order search needs samples >= 1, got {samples}")
     layers = schedule_for(kind, h.n).layers[:consumed_layer_bound(kind, h.n)]
     pairs = tuple(sorted((i, j) for i, j, _ in h.zz))
-    zz_coeff = h.zz_coeffs()
-    z_coeff = h.z_coeffs()
     floor = 2 * len(pairs)
 
     orders = (_canonical_orders_exhaustive(h.n) if strategy == "exhaustive"
@@ -326,16 +322,8 @@ def route_qaoa_partial(h: ProblemHamiltonian, params: QaoaParams, kind: str = "l
                 break
     (best_cx, _), ops, initial = best
 
-    builder = CircuitBuilder(h.n, initial_order=initial,
-                             label=f"qaoa-partial-{kind}-n{h.n}-p{params.p}")
-    for q in range(h.n):
-        builder.h(q)
-    for d in range(params.p):
-        block = ops if d % 2 == 0 else ops[::-1]
-        _emit_two_qubit_block(builder, block, params.gammas[d], zz_coeff)
-        _emit_mixer_layer(builder, z_coeff, params.gammas[d], params.betas[d])
-
-    circuit = builder.build()
+    circuit = _qaoa_circuit(h, params, f"qaoa-partial-{kind}-n{h.n}-p{params.p}",
+                            lambda d, _: ops[::-1] if d % 2 else ops, initial_order=initial)
     report = _build_report(circuit, placed=len(h.zz) * params.p,
                            consumed=len(layers), strategy=strategy,
                            seed=seed if strategy == "sampled" else None,
@@ -378,20 +366,12 @@ def swapnk_baseline(h: ProblemHamiltonian, params: QaoaParams) -> RoutedCircuit:
     _require_complete(h, "swapnk_baseline")
     n = h.n
     tmpl = template("linear", n)
-    zz_coeff = h.zz_coeffs()
-    z_coeff = h.z_coeffs()
-    builder = CircuitBuilder(n, label=f"swapnk-n{n}-p{params.p}")
-    for q in range(n):
-        builder.h(q)
-    for d in range(params.p):
-        for layer in brickwork_layers(n):
-            for i, j in layer:
-                order = builder.order
-                u, v = order[i], order[j]
-                pair = (u, v) if u < v else (v, u)
-                builder.zzswap(i, j, 2.0 * params.gammas[d] * zz_coeff[pair])
-        _emit_mixer_layer(builder, z_coeff, params.gammas[d], params.betas[d])
-    circuit = builder.build()
+    layers = brickwork_layers(n)
+    pairs = tuple(h.zz_coeffs())
+    # every pair meets exactly once in the n brickwork layers, so the walker
+    # (given no free edges) fuses every slot
+    circuit = _qaoa_circuit(h, params, f"swapnk-n{n}-p{params.p}",
+                            lambda d, order: _walk(order, (), layers, pairs))
     report = _build_report(circuit, placed=len(h.zz) * params.p, consumed=n)
     return RoutedCircuit(circuit, tmpl, REPEAT, report)
 

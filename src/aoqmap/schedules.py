@@ -38,10 +38,6 @@ class SwapSchedule:
     def __len__(self):
         return len(self.layers)
 
-    @property
-    def total_swaps(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
 
 def brickwork_layers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All n brickwork layers of the chain; layer s starts at position s % 2."""
@@ -128,10 +124,6 @@ def full_routing_layers(kind: str, n: int) -> tuple[tuple[tuple[int, int], ...],
     closing = next((i, j) for i, j in layers[-1]
                    if (min(order[i], order[j]), max(order[i], order[j])) not in met)
     return layers[:-2] + (layers[-2] + (closing,),)
-
-
-def mirror(schedule: SwapSchedule) -> SwapSchedule:
-    return SwapSchedule(schedule.template_kind, schedule.n, tuple(reversed(schedule.layers)))
 
 
 def order_after(schedule: SwapSchedule, initial: Permutation) -> Permutation:

@@ -9,7 +9,7 @@ from .hamiltonians import ProblemHamiltonian, expectation
 from .topology import CouplingGraph, SubtopologyTemplate, enumerate_layouts, graph_from_dict
 
 
-class CalibrationError(KeyError):
+class CalibrationError(ValueError):
     """A touched qubit or edge has no calibration entry."""
 
 
@@ -57,13 +57,11 @@ class CostReport:
     gate_count: int = 0
 
 
-def layout_costs(circuit: Circuit, layouts, cal: Calibration,
-                 measured_positions=None) -> list[CostReport]:
+def layout_costs(circuit: Circuit, layouts, cal: Calibration) -> list[CostReport]:
     """Estimated-error cost C = 1 - prod(1 - p_gate) * prod(1 - p_meas) of each
     layout in order, all scored from one basis decomposition of the circuit;
-    every position in `measured_positions` (default: all) adds its readout error."""
+    every position is measured, so each adds its readout error."""
     gates = decompose_to_basis(circuit).gates
-    measured = tuple(range(circuit.n) if measured_positions is None else measured_positions)
     reports = []
     for layout in map(tuple, layouts):
         if len(layout) < circuit.n:
@@ -80,8 +78,7 @@ def layout_costs(circuit: Circuit, layouts, cal: Calibration,
                 except IndexError:
                     raise CalibrationError(f"no single-qubit calibration for qubit {q}") from None
         meas_product = 1.0
-        for p in measured:
-            q = layout[p]
+        for q in layout[:circuit.n]:
             try:
                 meas_product *= 1.0 - cal.readout_error[q]
             except IndexError:
@@ -93,17 +90,18 @@ def layout_costs(circuit: Circuit, layouts, cal: Calibration,
     return reports
 
 
-def circuit_cost(circuit: Circuit, layout, cal: Calibration,
-                 measured_positions=None) -> CostReport:
+def circuit_cost(circuit: Circuit, layout, cal: Calibration) -> CostReport:
     """The `layout_costs` report of one layout."""
-    return layout_costs(circuit, [layout], cal, measured_positions)[0]
+    return layout_costs(circuit, [layout], cal)[0]
 
 
 def select_layout(circuit: Circuit, tmpl: SubtopologyTemplate, graph: CouplingGraph,
                   cal: Calibration):
     """Argmin-cost layout over all monomorphisms; ties go to the
     lexicographically smallest layout (layouts come sorted, and `min` keeps
-    the first of equal costs)."""
+    the first of equal costs). A two-qubit gate off the template's edges
+    raises ValueError."""
+    tmpl.check_gates(circuit.gates)
     layouts = enumerate_layouts(tmpl, graph)
     if not layouts:
         raise ValueError(f"{tmpl.kind}-{tmpl.n} template is not embeddable in the device graph")

@@ -21,7 +21,7 @@ measurement permutation (final_order) is already applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -54,34 +54,29 @@ class Distribution:
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError("distribution does not sum to 1")
 
-    def as_dict(self, tol: float = 0.0) -> dict[str, float]:
-        out = {}
-        for idx, p in enumerate(self.probs):
-            if p > tol:
-                out[_bits(idx, self.n)] = float(p)
-        return out
+    def as_dict(self) -> dict[str, float]:
+        """Nonzero probabilities keyed by logical bitstring."""
+        return {_bits(idx, self.n): float(p) for idx, p in enumerate(self.probs) if p > 0.0}
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Depolarizing channel strengths; applied after each gate to each touched
-    qubit (X, Y, Z each with probability eps/4)."""
+    qubit (X, Y, Z each with probability eps/4). One-qubit gates get
+    eps_1q = eps_2q / 10; it is stored, not derived per read, because every
+    gate of every trajectory reads it."""
 
     eps_2q: float
-    eps_1q: float | None = None
-    seed: int | None = None
+    eps_1q: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eps_2q <= 1.0:
             raise ValueError("eps_2q must lie in [0, 1]")
-        eps1 = self.eps_2q / 10.0 if self.eps_1q is None else float(self.eps_1q)
-        if not 0.0 <= eps1 <= 1.0:
-            raise ValueError("eps_1q must lie in [0, 1]")
-        object.__setattr__(self, "eps_1q", eps1)
+        object.__setattr__(self, "eps_1q", self.eps_2q / 10.0)
 
     @property
     def is_trivial(self) -> bool:
-        return self.eps_2q == 0.0 and self.eps_1q == 0.0
+        return self.eps_2q == 0.0
 
 
 def _bits(index: int, n: int) -> str:
@@ -233,8 +228,6 @@ def sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     _check_cap(circuit.n)
-    if seed is None and noise is not None:
-        seed = noise.seed
     if noise is None or noise.is_trivial:
         draws = np.random.default_rng(seed).multinomial(shots, distribution(circuit).probs)
         return {_bits(i, circuit.n): int(c) for i, c in enumerate(draws) if c > 0}
@@ -255,16 +248,15 @@ def sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
 def reference_circuit(h, params=None, kind: str = "qaoa", thetas=None) -> Circuit:
     """All-to-all unrouted circuit built straight from the problem terms.
 
-    QAOA/MaxCut: Hadamard layer, then per depth the ZZ terms in ascending
-    pair order, RZ for nonzero linear terms, and the RX mixer. VQE: RY
-    layers around brickwork-free all-pair CZ blocks; pass `thetas` with
+    QAOA (MaxCut included): Hadamard layer, then per depth the ZZ terms in
+    ascending pair order, RZ for nonzero linear terms, and the RX mixer. VQE:
+    RY layers around brickwork-free all-pair CZ blocks; pass `thetas` with
     (p+1)*n entries and `h` may be a qubit count.
     """
-    kind = kind.lower()
-    if kind in ("qaoa", "maxcut"):
+    if kind == "qaoa":
         if params is None:
             raise ValueError("QAOA reference needs params")
-        b = CircuitBuilder(h.n, label=f"reference-{kind}-n{h.n}-p{params.p}")
+        b = CircuitBuilder(h.n, label=f"reference-qaoa-n{h.n}-p{params.p}")
         for q in range(h.n):
             b.h(q)
         z_items = [(i, c) for i, c in sorted(h.z_coeffs().items()) if c != 0.0]

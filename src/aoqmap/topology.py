@@ -29,9 +29,6 @@ class CouplingGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def degree(self, q: int) -> int:
-        return len(self.neighbors(q))
-
 
 @dataclass(frozen=True)
 class SubtopologyTemplate:
@@ -44,13 +41,23 @@ class SubtopologyTemplate:
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
+    def check_gates(self, gates) -> None:
+        """Raise ValueError naming the first two-qubit gate whose positions
+        are not a template edge."""
+        edges = self.edge_set()
+        for g in gates:
+            if g.is_two_qubit:
+                pair = (min(g.qubits), max(g.qubits))
+                if pair not in edges:
+                    raise ValueError(f"{g.kind} on {pair} is not an edge of the "
+                                     f"{self.kind}-{self.n} template")
+
 
 _TEMPLATE_MINIMUMS = {"linear": 2, "t": 4, "h": 6}
 
 
 def template(kind: str, n: int) -> SubtopologyTemplate:
     """Build the linear / T / H template edge set on n positions."""
-    kind = kind.lower()
     if kind not in _TEMPLATE_MINIMUMS:
         raise ValueError(f"unknown template kind {kind!r}")
     if n < _TEMPLATE_MINIMUMS[kind]:

@@ -260,6 +260,48 @@ def test_missing_field_names_file_and_key(tmp_path, capsys):
         assert name in err and f"missing field {key}" in err
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"n": 3, "zz": [{"i": 0, "j": 1, "coeff": None}]}, "'zz[0].coeff' must be a finite number"),
+    ({"n": 3, "zz": [[0, 1, 1.0]]}, "'zz' must be a list of objects"),
+    ({"n": 3, "z": {"i": 0, "coeff": 1.0}}, "'z' must be a list of objects"),
+    ({"n": 3, "zz": [{"i": 0.5, "j": 1, "coeff": 1.0}]}, "'zz[0].i' must be an integer"),
+    ({"n": "3"}, "'n' must be an integer"),
+    ({"n": 3, "constant": None}, "'constant' must be a finite number"),
+], ids=["null-coeff", "zz-lists", "z-object", "float-index", "str-n", "null-constant"])
+@pytest.mark.parametrize("command", ["route", "postselect"])
+def test_malformed_hamiltonian_names_file_and_field(tmp_path, capsys, data, field, command):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    (tmp_path / "c.json").write_text(json.dumps({"010": 2}))
+    argv = (["route", "--hamiltonian", str(path)] if command == "route"
+            else ["postselect", str(tmp_path / "c.json"), "--hamiltonian", str(path)])
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: field {field}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "select"])
+def test_circuit_n_must_be_an_integer(tmp_path, capsys, command):
+    run(["route", "--qaoa", "full", "--n", "3", "--out-dir", str(tmp_path)])
+    report = str(tmp_path / "route-linear.report.json")
+    bad = tmp_path / "bad.circuit.json"
+    bad.write_text(json.dumps({**read(tmp_path / "route-linear.circuit.json"), "n": "x"}))
+    argv = {"verify": ["verify", "--circuit", str(bad), "--report", report],
+            "select": ["select", "--circuit", str(bad), "--device", "builtin:27q-heavy-hex"]}
+    capsys.readouterr()
+    assert run(argv[command] + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: field 'n' must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize("problem", [["--qaoa", "full", "--n", "5"], ["--vqe", "--n", "3"]],
+                         ids=["qaoa", "vqe"])
+def test_route_rejects_p_below_one(tmp_path, capsys, p, problem):
+    assert run(["route", *problem, "--p", str(p), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --p must be at least 1, got {p}\n"
+    assert not (tmp_path / "route.manifest.json").exists()
+
+
 def test_postselect_rejects_bad_budget(tmp_path, capsys):
     h = {"n": 3, "zz": [{"i": 0, "j": 1, "coeff": 1.0}], "z": [], "constant": 0.0, "budget": "1"}
     (tmp_path / "h.json").write_text(json.dumps(h))

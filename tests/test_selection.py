@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,29 +24,29 @@ def line_cal(n, readout=0.02, sq=0.001, tq=0.01):
 
 
 def test_cost_empty_circuit_no_measurement():
-    rep = circuit_cost(Circuit(2), (0, 1), line_cal(2), measured_positions=())
+    rep = circuit_cost(Circuit(2), (0, 1), line_cal(2, readout=0.0))
     assert rep.cost == 0.0
 
 
 def test_cost_single_two_qubit_gate():
     cal = line_cal(2, readout=0.0, tq=0.01)
-    rep = circuit_cost(CircuitBuilder(2).cx(0, 1).build(), (0, 1), cal, measured_positions=())
+    rep = circuit_cost(CircuitBuilder(2).cx(0, 1).build(), (0, 1), cal)
     assert rep.cost == pytest.approx(0.01)
 
 
 def test_cost_hand_product():
-    # two gates at 0.01 plus one measurement at 0.02 -> 1 - 0.99^2 * 0.98
+    # two gates at 0.01 plus measurements at 0.02 and 0 -> 1 - 0.99^2 * 0.98
     cal = Calibration(readout_error=(0.02, 0.0), sq_error=(0.0, 0.0),
                       edge_error={(0, 1): 0.01})
     circuit = CircuitBuilder(2).cx(0, 1).cx(1, 0).build()
-    rep = circuit_cost(circuit, (0, 1), cal, measured_positions=(0,))
+    rep = circuit_cost(circuit, (0, 1), cal)
     assert rep.cost == pytest.approx(1 - 0.99 ** 2 * 0.98, abs=1e-12)
 
 
 def test_cost_counts_decomposed_gates():
     cal = line_cal(2, readout=0.0, sq=0.001, tq=0.01)
     macro = CircuitBuilder(2).zz(0, 1, 0.3).build()
-    rep = circuit_cost(macro, (0, 1), cal, measured_positions=())
+    rep = circuit_cost(macro, (0, 1), cal)
     # zz decomposes to cx rz cx
     want = 1 - (1 - 0.01) ** 2 * (1 - 0.001)
     assert rep.cost == pytest.approx(want, abs=1e-15)
@@ -77,8 +78,11 @@ def test_cost_order_invariance_and_monotonicity():
 
 def test_cost_missing_calibration():
     cal = Calibration(readout_error=(0.0, 0.0), sq_error=(0.0, 0.0), edge_error={})
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError) as info:
         circuit_cost(CircuitBuilder(2).cx(0, 1).build(), (0, 1), cal)
+    # a ValueError, so the CLI prints the message as is (a KeyError quotes it)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == "no two-qubit calibration for edge (0,1)"
 
 
 def test_select_layout_uniform_picks_lexicographic_first():
@@ -125,6 +129,24 @@ def test_select_layout_unembeddable():
         select_layout(Circuit(3), template("linear", 3), g, line_cal(3))
 
 
+def test_select_rejects_circuit_off_template(tmp_path, capsys):
+    g = builtin_device("27q-heavy-hex")
+    cal = _random_calibration(g, np.random.default_rng(5))
+    h = ProblemHamiltonian(7, tuple((i, j, 1.0) for i in range(6) for j in range(i + 1, 7)))
+    circuit = route_qaoa_linear(h, QaoaParams((0.4,), (0.3,))).circuit
+    message = "zz on (0, 1) is not an edge of the h-7 template"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        select_layout(circuit, template("h", 7), g, cal)
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(circuit_to_dict(circuit)))
+    device = _write_calibrated_device(tmp_path / "device.json")
+    assert main(["select", "--circuit", str(path), "--device", str(device), "--template", "h",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "select.manifest.json").exists()
+
+
 def _random_calibration(graph, rng):
     return Calibration(
         readout_error=tuple(float(r) for r in rng.uniform(0.005, 0.05, graph.num_qubits)),
@@ -155,9 +177,8 @@ def test_layout_costs_match_circuit_cost_in_order():
     h = ProblemHamiltonian(5, tuple((i, j, 1.0) for i in range(4) for j in range(i + 1, 5)))
     circuit = route_qaoa_linear(h, QaoaParams((0.4,), (0.3,))).circuit
     layouts = enumerate_layouts(template("linear", 5), g)[::-1]
-    for measured in (None, (0, 3)):
-        reports = layout_costs(circuit, layouts, cal, measured)
-        assert reports == [circuit_cost(circuit, l, cal, measured) for l in layouts]
+    reports = layout_costs(circuit, layouts, cal)
+    assert reports == [circuit_cost(circuit, l, cal) for l in layouts]
     with pytest.raises(ValueError, match="covers 4 positions"):
         layout_costs(circuit, [layouts[0], layouts[0][:4]], cal)
 

@@ -109,8 +109,8 @@ def test_noise_model_defaults_and_validation():
 
 def test_noisy_sampling_reproducible():
     c = CircuitBuilder(2).h(0).cx(0, 1).build()
-    nm = NoiseModel(0.05, seed=3)
-    assert sample(c, 200, noise=nm) == sample(c, 200, noise=nm)
+    nm = NoiseModel(0.05)
+    assert sample(c, 200, noise=nm, seed=3) == sample(c, 200, noise=nm, seed=3)
     noisy = sample(c, 2000, noise=NoiseModel(0.2), seed=1)
     assert set(noisy) - {"00", "11"}  # errors leak outside the Bell support
 
@@ -158,7 +158,7 @@ def test_reference_circuit_structure():
     assert kinds.count("rz") == 3 and kinds.count("rx") == 3
 
     mc = build_maxcut_hamiltonian([(0, 1), (1, 2)], 3)
-    ref_mc = reference_circuit(mc, QaoaParams((0.4,), (0.2,)), kind="maxcut")
+    ref_mc = reference_circuit(mc, QaoaParams((0.4,), (0.2,)))
     assert all(g.kind != "rz" for g in ref_mc.gates)
 
     ref_vqe = reference_circuit(4, kind="vqe", thetas=[0.1] * 8)

@@ -30,12 +30,12 @@ def test_builtin_devices():
     seven = builtin_device("7q-h")
     assert seven.num_qubits == 7
     assert seven.edges == frozenset({(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)})
-    assert max(seven.degree(q) for q in range(7)) == 3
+    assert max(len(seven.neighbors(q)) for q in range(7)) == 3
 
     hex27 = builtin_device("27q-heavy-hex")
     assert hex27.num_qubits == 27
     assert len(hex27.edges) == 28
-    assert sum(1 for q in range(27) if hex27.degree(q) == 3) == 8
+    assert sum(1 for q in range(27) if len(hex27.neighbors(q)) == 3) == 8
 
     with pytest.raises(ValueError):
         builtin_device("not-a-device")
