@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .hamiltonians import _number
+
 SINGLE_QUBIT_KINDS = frozenset({"h", "x", "rx", "ry", "rz"})
 TWO_QUBIT_KINDS = frozenset({"cx", "cz", "swap", "zz", "zzswap", "czswap"})
 GATE_KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS
@@ -268,11 +270,16 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
+def _angle(value, k: int):
+    return None if value is None else _number(value, f"gates[{k}].angle")
+
+
 def circuit_from_dict(data: dict) -> Circuit:
     n = data["n"]
     if type(n) is not int:  # bool is a subclass of int
         raise ValueError(f"field 'n' must be an integer, got {n!r}")
-    gates = tuple(Gate(g["kind"], tuple(g["qubits"]), g.get("angle")) for g in data["gates"])
+    gates = tuple(Gate(g["kind"], tuple(g["qubits"]), _angle(g.get("angle"), k))
+                  for k, g in enumerate(data["gates"]))
     final = Permutation(data["final_order"]) if "final_order" in data else None
     return Circuit(n, gates, Permutation(data["initial_order"]), final,
                    label=data.get("label", ""))

@@ -17,13 +17,13 @@ import time
 
 from . import __version__
 from .circuits import circuit_from_dict, circuit_to_dict, decompose_to_basis, emit_qasm, gate_counts
-from .hamiltonians import (ProblemHamiltonian, PortfolioSpec, QaoaParams, brute_force_extrema,
+from .hamiltonians import (ProblemHamiltonian, QaoaParams, brute_force_extrema,
                            build_maxcut_hamiltonian, build_portfolio_hamiltonian, counts_from_json,
                            energy, expectation, hamiltonian_from_dict, hamiltonian_to_dict,
-                           is_feasible, metrics)
+                           is_feasible, metrics, portfolio_spec_from_dict)
 from .routing import (route_qaoa_linear, route_qaoa_partial, route_qaoa_subtop, route_vqe_linear,
                       swapnk_baseline)
-from .selection import device_from_dict, layout_costs, postselect, select_layout
+from .selection import cheapest, device_from_dict, postselect, score_layouts, select_layout
 from .sim import SIMULATOR_QUBIT_CAP, reference_circuit, verify
 from .topology import builtin_device, enumerate_layouts, graph_from_dict, template
 
@@ -158,10 +158,7 @@ def _problem_from_args(args):
         n = args.n if args.n is not None else (max(max(e) for e in edges) + 1 if edges else 0)
         return "maxcut", build_maxcut_hamiltonian(edges, n)
     if args.portfolio_spec is not None:
-        spec = _load(args.portfolio_spec, lambda data: PortfolioSpec(
-            lam=float(data["lambda"]), q=float(data["q"]), penalty=float(data["A"]),
-            budget=int(data["B"]), sigma=tuple(tuple(r) for r in data["sigma"]),
-            mu=tuple(data["mu"]), constant=float(data.get("constant", 0.0))))
+        spec = _load(args.portfolio_spec, portfolio_spec_from_dict)
         return "portfolio", build_portfolio_hamiltonian(spec)
     return "hamiltonian", _load(args.hamiltonian, hamiltonian_from_dict)
 
@@ -300,19 +297,22 @@ def cmd_select(args) -> int:
         tmpl.check_gates(circuit.gates)
     except ValueError as exc:
         raise CliError(f"{args.circuit}: {exc}") from None
-    layout, best = select_layout(circuit, tmpl, graph, cal)
+    if args.table:
+        reports = score_layouts(circuit, tmpl, graph, cal)
+        best = cheapest(reports)
+    else:
+        _, best = select_layout(circuit, tmpl, graph, cal)
     result = {
         "template": kind,
         "n": circuit.n,
-        "layout": list(layout),
+        "layout": list(best.layout),
         "cost": best.cost,
         "gate_error_product": best.gate_error_product,
         "measurement_error_product": best.measurement_error_product,
     }
     if args.table:
-        result["table"] = [{"layout": list(r.layout), "cost": r.cost}
-                           for r in layout_costs(circuit, enumerate_layouts(tmpl, graph), cal)]
-    _finish(args, result, f"layout {list(layout)} cost {best.cost:.6g}")
+        result["table"] = [{"layout": list(r.layout), "cost": r.cost} for r in reports]
+    _finish(args, result, f"layout {list(best.layout)} cost {best.cost:.6g}")
     return EXIT_OK
 
 

@@ -282,6 +282,27 @@ def hamiltonian_from_dict(data: dict) -> ProblemHamiltonian:
                               data.get("budget"))
 
 
+def _numbers(values, name: str) -> tuple:
+    if not isinstance(values, list):
+        raise ValueError(f"field {name!r} must be a list, got {values!r}")
+    return tuple(_number(v, f"{name}[{k}]") for k, v in enumerate(values))
+
+
+def portfolio_spec_from_dict(data: dict) -> PortfolioSpec:
+    """Portfolio spec JSON (keys lambda, q, A, B, sigma, mu and optional
+    constant) -> PortfolioSpec; a malformed value raises ValueError naming
+    its field."""
+    rows = data["sigma"]
+    if not isinstance(rows, list):
+        raise ValueError(f"field 'sigma' must be a list, got {rows!r}")
+    return PortfolioSpec(
+        lam=float(_number(data["lambda"], "lambda")), q=float(_number(data["q"], "q")),
+        penalty=float(_number(data["A"], "A")), budget=_number(data["B"], "B", integer=True),
+        sigma=tuple(_numbers(row, f"sigma[{i}]") for i, row in enumerate(rows)),
+        mu=_numbers(data["mu"], "mu"),
+        constant=float(_number(data.get("constant", 0.0), "constant")))
+
+
 def counts_from_json(text: str) -> dict[str, int]:
     raw = json.loads(text)
     if not isinstance(raw, dict):

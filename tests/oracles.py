@@ -294,3 +294,40 @@ def best_partial_cx(n: int, gate_pairs) -> int:
         if best is None or cx < best:
             best = cx
     return best
+
+
+def layout_costs_scalar(circuit, layouts, cal):
+    """`aoqmap.layout_costs` one layout at a time in plain Python floats: the
+    products start at 1.0 and take one factor per basis gate in circuit
+    order, then one readout factor per position. A negative physical qubit
+    counts as uncalibrated rather than indexing from the end."""
+    from aoqmap import CalibrationError, CostReport, decompose_to_basis
+
+    def table(rates, q, what):
+        if not 0 <= q < len(rates):
+            raise CalibrationError(f"no {what} calibration for qubit {q}")
+        return rates[q]
+
+    gates = decompose_to_basis(circuit).gates
+    reports = []
+    for layout in map(tuple, layouts):
+        if len(layout) < circuit.n:
+            raise ValueError(f"layout covers {len(layout)} positions, circuit needs {circuit.n}")
+        gate_product = 1.0
+        for g in gates:
+            if g.is_two_qubit:
+                u, v = (layout[q] for q in g.qubits)
+                error = cal.edge_error.get((min(u, v), max(u, v))) if min(u, v) >= 0 else None
+                if error is None:
+                    raise CalibrationError(f"no two-qubit calibration for edge ({u},{v})")
+                gate_product *= 1.0 - error
+            else:
+                gate_product *= 1.0 - table(cal.sq_error, layout[g.qubits[0]], "single-qubit")
+        meas_product = 1.0
+        for q in layout[:circuit.n]:
+            meas_product *= 1.0 - table(cal.readout_error, q, "readout")
+        reports.append(CostReport(layout=layout, cost=1.0 - gate_product * meas_product,
+                                  gate_error_product=gate_product,
+                                  measurement_error_product=meas_product,
+                                  gate_count=len(gates)))
+    return reports

@@ -293,6 +293,51 @@ def test_circuit_n_must_be_an_integer(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {bad}: field 'n' must be an integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("angle", ["x", float("nan"), None, [0.1]], ids=["str", "nan", "null", "list"])
+@pytest.mark.parametrize("command", ["verify", "select"])
+def test_circuit_gate_angle_must_be_finite(tmp_path, capsys, command, angle):
+    run(["route", "--qaoa", "full", "--n", "3", "--out-dir", str(tmp_path)])
+    report = str(tmp_path / "route-linear.report.json")
+    data = read(tmp_path / "route-linear.circuit.json")
+    k = next(k for k, g in enumerate(data["gates"]) if g["kind"] == "rx")
+    data["gates"][k]["angle"] = angle
+    bad = tmp_path / "bad.circuit.json"
+    bad.write_text(json.dumps(data))
+    argv = {"verify": ["verify", "--circuit", str(bad), "--report", report],
+            "select": ["select", "--circuit", str(bad), "--device", "builtin:27q-heavy-hex"]}
+    capsys.readouterr()
+    assert run(argv[command] + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    if angle is None:  # a rotation with no angle is a malformed gate, not a malformed number
+        assert err == f"error: {bad}: rx: angle must be present iff the kind is rotation-like\n"
+    else:
+        assert err == (f"error: {bad}: field 'gates[{k}].angle' must be a finite number, "
+                       f"got {angle!r}\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lambda", None, "'lambda' must be a finite number, got None"),
+    ("q", "0.5", "'q' must be a finite number, got '0.5'"),
+    ("A", float("inf"), "'A' must be a finite number, got inf"),
+    ("B", 1.5, "'B' must be an integer, got 1.5"),
+    ("constant", [], "'constant' must be a finite number, got []"),
+    ("mu", [0.1, None], "'mu[1]' must be a finite number, got None"),
+    ("mu", 0.1, "'mu' must be a list, got 0.1"),
+    ("sigma", [[1.0, 0.0], [0.0, "1"]], "'sigma[1][1]' must be a finite number, got '1'"),
+    ("sigma", [[1.0, 0.0], 2.0], "'sigma[1]' must be a list, got 2.0"),
+    ("sigma", {"0": [1.0]}, "'sigma' must be a list, got {'0': [1.0]}"),
+], ids=["lambda", "q", "A", "B", "constant", "mu-item", "mu-scalar", "sigma-item", "sigma-row",
+        "sigma-object"])
+def test_malformed_portfolio_spec_names_field(tmp_path, capsys, field, value, message):
+    spec = {"lambda": 1.0, "q": 0.5, "A": 0.5, "B": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]],
+            "mu": [0.1, 0.2], field: value}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["route", "--portfolio-spec", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: field {message}\n"
+    assert not (tmp_path / "route-linear.circuit.json").exists()
+
+
 @pytest.mark.parametrize("p", [0, -1])
 @pytest.mark.parametrize("problem", [["--qaoa", "full", "--n", "5"], ["--vqe", "--n", "3"]],
                          ids=["qaoa", "vqe"])

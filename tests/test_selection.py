@@ -9,10 +9,12 @@ import pytest
 
 from aoqmap import (Calibration, CalibrationError, Circuit, CircuitBuilder, CouplingGraph,
                     ProblemHamiltonian, QaoaParams, builtin_device, circuit_cost, circuit_to_dict,
-                    decompose_to_basis, enumerate_layouts, layout_costs, postselect,
-                    route_qaoa_linear, select_layout, template, uniform_calibration)
+                    enumerate_layouts, layout_costs, postselect, route_qaoa_linear,
+                    route_qaoa_partial, route_qaoa_subtop, route_vqe_linear, select_layout,
+                    template, uniform_calibration)
 from aoqmap import selection
 from aoqmap.cli import main
+from oracles import layout_costs_scalar
 
 
 def line_graph(n):
@@ -205,8 +207,98 @@ def test_select_decomposes_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     calls.clear()
     assert main(argv + ["--table"]) == 0
-    assert len(calls) == 2  # one for select_layout, one for the table rows
+    assert len(calls) == 1  # the table rows and the selected layout come from one scoring
     assert len(json.loads(capsys.readouterr().out)["table"]) == 132
+
+
+def _oracle_cases(rng):
+    """(circuit, layouts) pairs: full QAOA on linear/T/H at n = 7..13, VQE and
+    partial routes, each with seeded random injective layouts onto 27 qubits,
+    some longer than the circuit."""
+    cases = []
+    for n in (7, 9, 11, 13):
+        h = ProblemHamiltonian(n, tuple((i, j, float(rng.uniform(-1, 1)))
+                                        for i in range(n - 1) for j in range(i + 1, n)))
+        params = QaoaParams((float(rng.uniform(0, 1)),), (float(rng.uniform(0, 1)),))
+        cases += [route_qaoa_linear(h, params).circuit,
+                  route_qaoa_subtop(h, params, "t").circuit,
+                  route_qaoa_subtop(h, params, "h").circuit]
+    cases.append(route_vqe_linear(9, 1, tuple(rng.uniform(0, 1, 18))).circuit)
+    sparse = ProblemHamiltonian(6, ((0, 1, 1.0), (1, 2, -0.5), (2, 5, 0.7), (0, 4, 1.0)))
+    cases.append(route_qaoa_partial(sparse, QaoaParams((0.3,), (0.2,))).circuit)
+    return [(circuit, [tuple(rng.permutation(27)[:circuit.n + k].tolist()) for k in (0, 0, 1, 4)])
+            for circuit in cases]
+
+
+def test_layout_costs_match_scalar_oracle():
+    """Every CostReport field `==` the one-layout-at-a-time float loop, on
+    random calibrations of a fully coupled 27-qubit device (so any injective
+    layout is scorable)."""
+    rng = np.random.default_rng(2024)
+    cases = _oracle_cases(rng)
+    complete = CouplingGraph(27, frozenset((u, v) for u in range(27) for v in range(u + 1, 27)))
+    for circuit, layouts in cases:
+        cal = _random_calibration(complete, rng)
+        reports = layout_costs(circuit, layouts, cal)
+        assert reports == layout_costs_scalar(circuit, layouts, cal)
+        assert all(type(value) is float for r in reports
+                   for value in (r.cost, r.gate_error_product, r.measurement_error_product))
+
+
+def _same_failure(circuit, layouts, cal):
+    with pytest.raises(Exception) as want:
+        layout_costs_scalar(circuit, layouts, cal)
+    with pytest.raises(type(want.value)) as got:
+        layout_costs(circuit, layouts, cal)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def test_layout_costs_errors_match_scalar_oracle():
+    g = builtin_device("27q-heavy-hex")
+    cal = _random_calibration(g, np.random.default_rng(8))
+    circuit = CircuitBuilder(3).h(0).zz(0, 1, 0.3).rx(2, 0.1).zz(1, 2, 0.2).build()
+    good = enumerate_layouts(template("linear", 3), g)[:4]
+    cases = {
+        "off-edge": [*good, (0, 2, 1)],                 # (0,2) is not a device edge
+        "past-tables": [*good, (25, 26, 27)],           # rx on qubit 27 of a 27-qubit table
+        "past-readout": [good[0], (0, 1, 2, 99)],       # positions past n are never read
+        "two-bad": [good[0], (0, 1, 27), (0, 2, 1)],    # the first failing layout wins
+        "short-after-bad": [(0, 2, 1), (0, 1)],         # a calibration error before the short one
+        "short-first": [(0, 1), (0, 2, 1)],
+        "negative": [good[0], (-1, 0, 1)],
+    }
+    messages = {}
+    for name, layouts in cases.items():
+        if name == "past-readout":
+            assert layout_costs(circuit, layouts, cal) == layout_costs_scalar(circuit, layouts, cal)
+            continue
+        messages[name] = _same_failure(circuit, layouts, cal)
+    assert messages["off-edge"] == "no two-qubit calibration for edge (0,2)"
+    assert messages["past-tables"] == "no single-qubit calibration for qubit 27"  # rx, then zz
+    assert messages["two-bad"] == "no single-qubit calibration for qubit 27"
+    assert messages["short-after-bad"] == "no two-qubit calibration for edge (0,2)"
+    assert messages["short-first"] == "layout covers 2 positions, circuit needs 3"
+    # a readout-only miss: the one gate is on position 0, qubit 27 is measured at position 2
+    one = CircuitBuilder(3).h(0).build()
+    assert _same_failure(one, [(0, 1, 27)], cal) == "no readout calibration for qubit 27"
+    assert _same_failure(one, [(0, 1, 2), (5, 1, 2), (30, 1, 2)], cal) == \
+        "no single-qubit calibration for qubit 30"
+
+
+@pytest.mark.parametrize("circuit, layout, message", [
+    (CircuitBuilder(1).h(0).build(), (-1,), "no single-qubit calibration for qubit -1"),
+    (Circuit(1), (-1,), "no readout calibration for qubit -1"),
+    (CircuitBuilder(2).cx(0, 1).build(), (26, -1), "no two-qubit calibration for edge (26,-1)"),
+], ids=["single-qubit", "readout", "two-qubit"])
+def test_negative_physical_qubit_is_uncalibrated(circuit, layout, message):
+    """-1 names no qubit; it must not wrap round to the last one (26)."""
+    g = builtin_device("27q-heavy-hex")
+    cal = _random_calibration(g, np.random.default_rng(1))
+    cal.edge_error[(-1, 26)] = 0.01  # even a calibration entry for it does not count
+    with pytest.raises(CalibrationError) as info:
+        layout_costs(circuit, [layout], cal)
+    assert str(info.value) == message
 
 
 def test_selection_golden(tmp_path, capsys):
